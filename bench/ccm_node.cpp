@@ -22,7 +22,9 @@
 //   --blocks-per-node, --files, --file-blocks, --workers, --drivers,
 //   --iters, --write-pct, --invalidate-pct, --seed, --policy, --directory,
 //   --batch, --deterministic-writes   as in ccm_stress (pass --batch to
-//                        every process alike)
+//                        every process alike; --workers caps the ops
+//                        admitted at this node at once, run on the
+//                        driver threads)
 //   --dump-storage=PATH  home only: final storage bytes -> PATH
 //   --connect-timeout-ms=N   peer dial/mesh deadline          (default 20000)
 //   --json[=PATH]        emit a JSON report (stdout or PATH), including a

@@ -10,7 +10,8 @@
 //   --blocks-per-node=N  cache capacity per node, blocks  (default 64)
 //   --files=N            file count                       (default 48)
 //   --file-blocks=N      blocks per file                  (default 4)
-//   --workers=N          worker threads per node          (default 2)
+//   --workers=N          ops admitted per node at once    (default 2);
+//                        ops run on the driver threads
 //   --drivers=N          client driver threads            (default nodes)
 //   --iters=N            operations per driver            (default 2000)
 //   --write-pct=P        % of ops that write              (default 20)
@@ -172,7 +173,7 @@ int main(int argc, char** argv) {
 
   std::cout << "ccm_stress: " << drivers << " drivers x " << iters
             << " ops over " << nodes << " nodes (" << workers
-            << " workers/node), " << files << " files\n"
+            << " admitted/node), " << files << " files\n"
             << "  elapsed " << util::fixed(secs, 3) << " s, "
             << util::fixed(total_ops / secs, 0) << " ops/s, consistency "
             << (consistent ? "OK" : "BROKEN") << "\n"

@@ -28,7 +28,7 @@ cache::CoopCacheConfig to_cache_config(const CcmConfig& c) {
 /// Bounded directory-race retries before falling back to an uncached read.
 constexpr int kAcquireAttempts = 64;
 
-/// RAII root span for one worker operation: mints a fresh trace id, makes it
+/// RAII root span for one read/write operation: mints a fresh trace id, makes it
 /// the thread's ambient context (rpc() stamps it into outgoing messages),
 /// and records the op slice on destruction. No-op while tracing is off.
 class OpSpan {
@@ -155,29 +155,50 @@ CcmCluster::CcmCluster(const CcmConfig& config,
 
   const cache::CoopCacheConfig cc = to_cache_config(config_);
   shards_.resize(config_.nodes);
-  mailboxes_.resize(config_.nodes);
   for (const cache::NodeId n : local_nodes_) {
-    shards_[n] = std::make_unique<Shard>(n, cc);
-    mailboxes_[n] = std::make_unique<Mailbox<Task>>(
-        1024, "ccm.tasks[" + std::to_string(n) + "]");
+    shards_[n] = std::make_unique<Shard>(n, cc, config_.workers_per_node);
   }
   for (const cache::NodeId n : local_nodes_) {
     protocol_threads_.emplace_back([this, n] { protocol_loop(n); });
-    for (std::size_t w = 0; w < config_.workers_per_node; ++w) {
-      workers_.emplace_back([this, n] { worker_loop(n); });
-    }
   }
 }
 
 CcmCluster::~CcmCluster() {
-  // Workers first (they may have RPCs in flight that need the protocol
-  // threads alive), then the transport, which ends the protocol loops.
-  for (auto& mb : mailboxes_) {
-    if (mb) mb->close();
-  }
-  for (auto& t : workers_) t.join();
+  // Ops first (they may have RPCs in flight that need the protocol threads
+  // alive), then the transport, which ends the protocol loops.
+  for (const cache::NodeId n : local_nodes_) shards_[n]->admission.drain();
   transport_->close();
   for (auto& t : protocol_threads_) t.join();
+}
+
+// ----------------------------------------------------------- admission ----
+
+CcmCluster::Admission::Ticket CcmCluster::Admission::reserve() {
+  util::ScopedLock lock(mu_);
+  if (closed_) throw std::runtime_error("CcmCluster: node is shut down");
+  ++registered_;
+  return Ticket(*this);
+}
+
+void CcmCluster::Admission::enter() {
+  util::UniqueLock lock(mu_);
+  while (running_ >= limit_) cv_.wait(lock);
+  ++running_;
+}
+
+void CcmCluster::Admission::finish(bool ran) {
+  util::ScopedLock lock(mu_);
+  if (ran) --running_;
+  --registered_;
+  // One waiter set shares the cv: slot waiters and drain() — wake them all
+  // only when someone can actually proceed.
+  if (ran || (closed_ && registered_ == 0)) cv_.notify_all();
+}
+
+void CcmCluster::Admission::drain() {
+  util::UniqueLock lock(mu_);
+  closed_ = true;
+  while (registered_ > 0) cv_.wait(lock);
 }
 
 CcmCluster::Shard& CcmCluster::shard_at(cache::NodeId via) const {
@@ -187,23 +208,6 @@ CcmCluster::Shard& CcmCluster::shard_at(cache::NodeId via) const {
                                 " is hosted by another process");
   }
   return *shards_[via];
-}
-
-void CcmCluster::worker_loop(cache::NodeId node) {
-  auto& mailbox = *mailboxes_[node];
-  while (auto task = mailbox.receive()) {
-    try {
-      if (task->kind == Task::Kind::kWrite) {
-        execute_write(node, task->file, task->offset, task->write_data);
-        task->promise.set_value({});
-      } else {
-        task->promise.set_value(
-            execute_read(node, task->file, task->offset, task->length));
-      }
-    } catch (...) {
-      task->promise.set_exception(std::current_exception());
-    }
-  }
 }
 
 void CcmCluster::protocol_loop(cache::NodeId node) {
@@ -273,47 +277,39 @@ CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
 
 std::future<std::vector<std::byte>> CcmCluster::read_async(
     cache::NodeId via, cache::FileId file) {
-  shard_at(via);
+  Shard& sh = shard_at(via);
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
-  Task task;
-  task.file = file;
-  task.offset = 0;
-  task.length = storage_->file_size(file);
-  auto future = task.promise.get_future();
-  if (!mailboxes_[via]->send(std::move(task))) {
-    throw std::runtime_error("CcmCluster: node is shut down");
-  }
-  return future;
+  const std::uint64_t length = storage_->file_size(file);
+  return std::async(std::launch::async,
+                    [this, via, file, length,
+                     ticket = sh.admission.reserve()]() mutable {
+                      return ticket.run(
+                          [&] { return execute_read(via, file, 0, length); });
+                    });
 }
 
 std::vector<std::byte> CcmCluster::read(cache::NodeId via,
                                         cache::FileId file) {
-  return read_async(via, file).get();
+  if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
+  return read_range(via, file, 0, storage_->file_size(file));
 }
 
 std::vector<std::byte> CcmCluster::read_range(cache::NodeId via,
                                               cache::FileId file,
                                               std::uint64_t offset,
                                               std::uint64_t length) {
-  shard_at(via);
+  Shard& sh = shard_at(via);
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
   if (offset + length > storage_->file_size(file)) {
     throw std::out_of_range("range beyond end of file");
   }
-  Task task;
-  task.file = file;
-  task.offset = offset;
-  task.length = length;
-  auto future = task.promise.get_future();
-  if (!mailboxes_[via]->send(std::move(task))) {
-    throw std::runtime_error("CcmCluster: node is shut down");
-  }
-  return future.get();
+  return sh.admission.reserve().run(
+      [&] { return execute_read(via, file, offset, length); });
 }
 
 void CcmCluster::write(cache::NodeId via, cache::FileId file,
                        std::uint64_t offset, std::span<const std::byte> data) {
-  shard_at(via);
+  Shard& sh = shard_at(via);
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
   if (offset + data.size() > storage_->file_size(file)) {
     throw std::out_of_range("write beyond end of file");
@@ -321,17 +317,8 @@ void CcmCluster::write(cache::NodeId via, cache::FileId file,
   if (dynamic_cast<WritableStorage*>(storage_.get()) == nullptr) {
     throw std::logic_error("CcmCluster::write requires a WritableStorage");
   }
-  Task task;
-  task.kind = Task::Kind::kWrite;
-  task.file = file;
-  task.offset = offset;
-  task.length = data.size();
-  task.write_data.assign(data.begin(), data.end());
-  auto future = task.promise.get_future();
-  if (!mailboxes_[via]->send(std::move(task))) {
-    throw std::runtime_error("CcmCluster: node is shut down");
-  }
-  future.get();
+  sh.admission.reserve().run(
+      [&] { execute_write(via, file, offset, data); });
 }
 
 std::uint32_t CcmCluster::block_bytes_of(std::uint64_t file_bytes,
@@ -804,7 +791,7 @@ CcmCluster::BlockPtr CcmCluster::acquire_block(
       util::UniqueLock lock(sh.mu);
       metrics_.record_lock_wait(obs::runtime_now_ns() - lw1);
       if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        // A sibling worker cached the block while we fetched.
+        // A concurrent op cached the block while we fetched.
         sh.state.touch(block, tick());
         ++sh.state.stats().remote_hits;
         metrics_.incr(obs::RtCounter::kPeerHit);
@@ -1064,7 +1051,7 @@ void CcmCluster::acquire_run(
       make_room_locked(lock, node,
                        static_cast<std::uint32_t>(end - at));
       // make_room may bounce the lock to ship a forward: re-check the store
-      // before claiming (a sibling worker may have landed these blocks).
+      // before claiming (a concurrent op may have landed these blocks).
       std::vector<std::size_t> want;
       for (std::size_t j = at; j < end; ++j) {
         Pending& p = pending[to_claim[j]];
@@ -1153,7 +1140,7 @@ void CcmCluster::acquire_run(
         Pending& p = pending[fetched[j]];
         const cache::BlockId block{file, p.index};
         if (const auto it = sh.store.find(block); it != sh.store.end()) {
-          // A sibling worker cached the block while we fetched.
+          // A concurrent op cached the block while we fetched.
           sh.state.touch(block, tick());
           ++sh.state.stats().remote_hits;
           metrics_.incr(obs::RtCounter::kPeerHit);
@@ -1252,7 +1239,7 @@ std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
     }
   }
 
-  // Fault in missing blocks from Storage on this worker thread, outside all
+  // Fault in missing blocks from Storage on the calling thread, outside all
   // locks. Concurrent readers of the same block wait on its ready cv.
   for (auto& [block, data] : to_read) {
     const std::uint32_t bytes = block_bytes_of(file_bytes, block.index);
@@ -1502,7 +1489,7 @@ std::size_t CcmCluster::crash_node(cache::NodeId node) {
     sh.store.clear();
   }
   // Shard lock released before the directory fence: purge_node may be an RPC
-  // to the home process, and workers never hold a shard lock across one.
+  // to the home process, and ops never hold a shard lock across one.
   // Ordering is safe either way — a peer fetch that races the wipe sees
   // "not the master" and re-reads the directory.
   return dir_->purge_node(node);

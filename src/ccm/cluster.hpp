@@ -4,19 +4,26 @@
 //
 // CcmCluster hosts the cluster's logical nodes — all of them in one process
 // (the default), or one slice of them when several processes form the
-// cluster over a socket transport. Each hosted node has a worker pool (its
-// "service threads"), a byte store for cached blocks, and its own *shard* of
-// the cooperative caching policy: a proto::NodeState (this node's entry
-// books, LRU ages, and stats slice) guarded by a per-node lock. The
-// cluster-wide master map is reached through a DirectoryClient — a local
-// proto::DirectoryService in-process, kDir* RPCs to the node-0 process in a
-// multi-process cluster. Cross-node traffic travels as proto::Message
-// envelopes through a pluggable net::Transport (in-process mailboxes or
-// length-prefixed frames on TCP sockets) to a dedicated protocol thread per
-// node — the exact message vocabulary the simulator charges with the paper's
-// Table-1 latencies (see docs/MIDDLEWARE.md for the correspondence).
+// cluster over a socket transport. Each hosted node has a byte store for
+// cached blocks and its own *shard* of the cooperative caching policy: a
+// proto::NodeState (this node's entry books, LRU ages, and stats slice)
+// guarded by a per-node lock. The cluster-wide master map is reached through
+// a DirectoryClient — a local proto::DirectoryService in-process, kDir* RPCs
+// to the node-0 process in a multi-process cluster. Cross-node traffic
+// travels as proto::Message envelopes through a pluggable net::Transport
+// (in-process mailboxes or length-prefixed frames on TCP sockets) to a
+// dedicated protocol thread per node — the exact message vocabulary the
+// simulator charges with the paper's Table-1 latencies (see
+// docs/MIDDLEWARE.md for the correspondence).
 //
 // Concurrency model:
+//  * CCM is a library the server's own threads call: read(), read_range()
+//    and write() execute on the calling thread, which waits for the bytes
+//    anyway — there is no worker pool and no hand-off. Each hosted node
+//    admits at most CcmConfig::workers_per_node ops at once (a per-node
+//    counting semaphore); further callers via that node wait for a slot.
+//    The only runtime threads are one protocol thread per hosted node plus
+//    whatever the transport runs.
 //  * A read that only touches blocks resident at its own node takes that
 //    node's shard lock and nothing else — no global mutex, no directory
 //    lock. Per-shard acquisition/contention counters in stats() demonstrate
@@ -25,7 +32,10 @@
 //    ownership transfer) are RPCs through the transport; the receiving
 //    protocol thread works under its own shard lock plus the directory (a
 //    strict shard → directory lock order, with the directory a leaf).
-//    Workers never hold a shard lock while waiting on an RPC reply.
+//    Callers never hold a shard lock while waiting on an RPC reply. A
+//    caller waits for its admission slot holding nothing, and protocol
+//    threads never wait for one, so no wait-for cycle passes through
+//    admission.
 //  * In a multi-process cluster the directory "leaf" is itself an RPC to the
 //    home process. The wait-for graph stays acyclic: only the home process
 //    hosts the directory and storage, its handlers never block on another
@@ -40,6 +50,7 @@
 
 #include <array>
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <future>
 #include <map>
@@ -49,12 +60,12 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/coop_cache.hpp"
 #include "ccm/directory_client.hpp"
 #include "ccm/storage.hpp"
-#include "ccm/transport.hpp"
 #include "net/transport.hpp"
 #include "obs/metrics.hpp"
 #include "obs/runtime_trace.hpp"
@@ -73,7 +84,8 @@ struct CcmConfig {
   std::uint32_t block_bytes = 8 * 1024;
   cache::Policy policy = cache::Policy::kNeverEvictMaster;
   cache::DirectoryMode directory = cache::DirectoryMode::kPerfect;
-  /// Worker threads per node.
+  /// Ops that may execute at one node at once (its admission slots). Ops
+  /// run on the caller's thread; callers beyond the limit wait for a slot.
   std::size_t workers_per_node = 2;
   /// Batch directory traffic: multi-block reads collect their lookups,
   /// claims, and cache-validations into kDirBatch round trips (one shard-lock
@@ -135,16 +147,21 @@ class CcmCluster {
   /// RemoteStorage / RemoteDirectory proxies.
   CcmCluster(const CcmConfig& config, std::shared_ptr<Storage> storage,
              CcmHosting hosting);
+  /// Refuses new ops ("node is shut down"), waits for every op already
+  /// issued (read_async ones included), then closes the transport.
   ~CcmCluster();
 
   CcmCluster(const CcmCluster&) = delete;
   CcmCluster& operator=(const CcmCluster&) = delete;
 
-  /// Reads the whole file through node `via`'s worker pool. Thread-safe.
-  /// `via` must be hosted in this process.
+  /// Reads the whole file through node `via`, on the calling thread (once
+  /// one of `via`'s admission slots is free). Thread-safe. `via` must be
+  /// hosted in this process.
   std::vector<std::byte> read(cache::NodeId via, cache::FileId file);
 
-  /// Asynchronous variant; the future resolves when the bytes are assembled.
+  /// read() on a thread of its own (std::async); the future resolves when
+  /// the bytes are assembled. The op is registered at `via` before this
+  /// returns, so destroying the cluster waits for it.
   std::future<std::vector<std::byte>> read_async(cache::NodeId via,
                                                  cache::FileId file);
 
@@ -186,7 +203,7 @@ class CcmCluster {
   /// of resurrecting its masters. Committed writes survive: every write went
   /// through to Storage before any cached master existed. Returns how many
   /// masters the directory purged. Call with the node's workload quiesced
-  /// (its workers idle); peer traffic may keep flowing.
+  /// (no op in flight at the node); peer traffic may keep flowing.
   std::size_t crash_node(cache::NodeId node);
 
   /// Brings a previously crashed hosted node back cold: the shard restarts
@@ -275,11 +292,69 @@ class CcmCluster {
   using Store =
       std::unordered_map<cache::BlockId, BlockPtr, cache::BlockIdHash>;
 
+  /// A hosted node's admission slots (CcmConfig::workers_per_node): at most
+  /// `limit` ops execute at the node at once. An op registers first — read()
+  /// just before it runs, read_async() on the issuing thread — so drain()
+  /// can refuse new ops and wait for every registered one, queued or
+  /// running. The lock is a leaf: nothing is called while it is held.
+  class Admission {
+   public:
+    /// One registered op (move-only). run() executes it in a slot;
+    /// destroying a ticket that never ran unregisters it.
+    class Ticket {
+     public:
+      explicit Ticket(Admission& owner) : owner_(&owner) {}
+      Ticket(Ticket&& other) noexcept
+          : owner_(std::exchange(other.owner_, nullptr)) {}
+      ~Ticket() {
+        if (owner_ != nullptr) owner_->finish(false);
+      }
+
+      /// Waits for a free slot, runs `op` in it, then releases slot and
+      /// registration together.
+      template <typename Op>
+      auto run(Op&& op) {
+        owner_->enter();
+        struct Done {
+          Admission* owner;
+          ~Done() { owner->finish(true); }
+        } done{std::exchange(owner_, nullptr)};
+        return op();
+      }
+
+     private:
+      Admission* owner_;
+    };
+
+    Admission(std::size_t limit, std::string lock_name)
+        : mu_(std::move(lock_name)), limit_(limit) {}
+
+    /// Registers an op; throws "node is shut down" once drain() has begun.
+    Ticket reserve();
+    /// Refuses new registrations and waits until every registered op is
+    /// done.
+    void drain();
+
+   private:
+    void enter();
+    void finish(bool ran);
+
+    util::Mutex mu_;
+    std::condition_variable_any cv_;
+    const std::size_t limit_;
+    std::size_t registered_ GUARDED_BY(mu_) = 0;
+    std::size_t running_ GUARDED_BY(mu_) = 0;
+    bool closed_ GUARDED_BY(mu_) = false;
+  };
+
   /// One node's share of the runtime: its policy slice, byte store, and the
-  /// lock that guards both.
+  /// lock that guards both, plus its admission slots.
   struct Shard {
-    Shard(cache::NodeId id, const cache::CoopCacheConfig& cfg)
-        : mu("ccm.shard[" + std::to_string(id) + "]"), state(id, cfg) {}
+    Shard(cache::NodeId id, const cache::CoopCacheConfig& cfg,
+          std::size_t slots)
+        : mu("ccm.shard[" + std::to_string(id) + "]"),
+          state(id, cfg),
+          admission(slots, "ccm.admission[" + std::to_string(id) + "]") {}
     mutable util::CountingMutex mu;
     /// Deliberately NOT GUARDED_BY(mu): ShardView reads the published_*
     /// summary fields lock-free (they are atomics, refreshed by publish()
@@ -293,6 +368,7 @@ class CcmCluster {
     std::atomic<std::uint64_t> local_reads{0};
     std::atomic<std::uint64_t> messages_sent{0};
     std::atomic<std::uint64_t> messages_handled{0};
+    Admission admission;
   };
 
   /// A protocol reply: the wire message plus (for fetches and ownership
@@ -300,16 +376,6 @@ class CcmCluster {
   struct Reply {
     proto::Message msg;
     BlockPtr data;
-  };
-
-  struct Task {
-    enum class Kind { kRead, kWrite };
-    Kind kind = Kind::kRead;
-    cache::FileId file;
-    std::uint64_t offset;
-    std::uint64_t length;
-    std::vector<std::byte> write_data;  // kWrite only
-    std::promise<std::vector<std::byte>> promise;
   };
 
   /// Lock-free published view of every shard (forward-target selection).
@@ -332,9 +398,6 @@ class CcmCluster {
    private:
     const CcmCluster& owner_;
   };
-
-  /// Worker-thread loop for node `node` (serves read/write tasks).
-  void worker_loop(cache::NodeId node);
 
   /// Protocol-thread loop for node `node` (serves peer messages). Handlers
   /// take this node's shard lock and the directory only — they never block
@@ -359,12 +422,14 @@ class CcmCluster {
     return clock_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Executes one read on the calling (worker) thread.
+  /// Executes one read on the calling thread (which holds an admission
+  /// slot at `node`).
   std::vector<std::byte> execute_read(cache::NodeId node, cache::FileId file,
                                       std::uint64_t offset,
                                       std::uint64_t length);
 
-  /// Executes one write on the calling (worker) thread.
+  /// Executes one write on the calling thread (which holds an admission
+  /// slot at `node`).
   void execute_write(cache::NodeId node, cache::FileId file,
                      std::uint64_t offset, std::span<const std::byte> data);
 
@@ -495,8 +560,6 @@ class CcmCluster {
   std::map<std::uint32_t, std::set<cache::NodeId>> barrier_arrivals_
       GUARDED_BY(barrier_mu_);
 
-  std::vector<std::unique_ptr<Mailbox<Task>>> mailboxes_;
-  std::vector<std::thread> workers_;
   std::vector<std::thread> protocol_threads_;
 };
 

@@ -162,6 +162,7 @@ void TcpTransport::adopt_connection(int fd, cache::NodeId peer) {
   conns_[peer] = std::move(conn);
   raw->reader = std::thread([this, raw] { reader_loop(*raw); });
   raw->writer = std::thread([this, raw] { writer_loop(*raw); });
+  mesh_cv_.notify_all();
 }
 
 void TcpTransport::connect_peers(const std::vector<TcpPeer>& peers) {
@@ -206,13 +207,14 @@ void TcpTransport::connect_peers(const std::vector<TcpPeer>& peers) {
       std::this_thread::sleep_for(std::chrono::milliseconds(50));
     }
   }
-  // Higher-id peers dial us; wait for the mesh to complete.
-  while (connected_peers() + 1 < config_.nodes) {
+  // Higher-id peers dial us; adopt_connection (and close) signal mesh_cv_.
+  util::UniqueLock lock(mu_);
+  while (live_peers_locked() + 1 < config_.nodes) {
     if (closed_) throw std::runtime_error("TcpTransport: closed");
-    if (std::chrono::steady_clock::now() >= deadline) {
+    if (mesh_cv_.wait_until(lock, deadline) == std::cv_status::timeout &&
+        live_peers_locked() + 1 < config_.nodes) {
       throw std::runtime_error("TcpTransport: timed out waiting for peers");
     }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
 }
 
@@ -517,6 +519,7 @@ void TcpTransport::close() {
       conn->outbox.close();
       live.push_back(conn.get());
     }
+    mesh_cv_.notify_all();  // a connect_peers() still waiting gives up
   }
   for (Connection* conn : live) {
     if (conn->reader.joinable()) conn->reader.join();
@@ -542,6 +545,10 @@ bool TcpTransport::peer_full(cache::NodeId n) const {
 
 std::size_t TcpTransport::connected_peers() const {
   util::ScopedLock lock(mu_);
+  return live_peers_locked();
+}
+
+std::size_t TcpTransport::live_peers_locked() const {
   std::size_t live = 0;
   for (const auto& conn : conns_) {
     if (conn && conn->alive.load(std::memory_order_acquire)) ++live;

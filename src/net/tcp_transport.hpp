@@ -28,6 +28,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <map>
@@ -95,8 +96,7 @@ class TcpTransport final : public Transport {
   [[nodiscard]] std::uint64_t peer_oldest_age(cache::NodeId n) const override;
   [[nodiscard]] bool peer_full(cache::NodeId n) const override;
 
-  /// Live peer connections (loopback drivers poll this for the start
-  /// rendezvous).
+  /// Live peer connections.
   [[nodiscard]] std::size_t connected_peers() const;
 
  protected:
@@ -108,7 +108,7 @@ class TcpTransport final : public Transport {
     // read afterwards; alive is the atomic liveness flag.
     int fd = -1;
     cache::NodeId peer = cache::kInvalidNode;
-    ccm::Mailbox<Envelope> outbox;
+    Mailbox<Envelope> outbox;
     std::thread reader;
     std::thread writer;
     std::atomic<bool> alive{false};
@@ -136,12 +136,14 @@ class TcpTransport final : public Transport {
   /// Performs the handshake on a fresh socket; returns the peer's node id
   /// or nullopt (socket closed by the caller on failure).
   std::optional<cache::NodeId> handshake(int fd);
+  /// Installs a handshaken socket and signals mesh_cv_.
   void adopt_connection(int fd, cache::NodeId peer);
   void drop_connection(cache::NodeId peer, bool frame_error);
   /// Fails every pending call addressed to `peer` (all peers when
   /// kInvalidNode).
   void fail_pending(cache::NodeId peer);
   bool deliver_local(Envelope env);
+  [[nodiscard]] std::size_t live_peers_locked() const REQUIRES(mu_);
   void route_incoming(Envelope env);
 
   TcpConfig config_;
@@ -150,7 +152,7 @@ class TcpTransport final : public Transport {
   std::thread accept_thread_;
   std::atomic<bool> closed_{false};
 
-  ccm::Mailbox<Envelope> inbound_;
+  Mailbox<Envelope> inbound_;
   std::function<std::pair<std::uint64_t, bool>()> summary_;
 
   // Connections table, pending calls, counters. Ordered after the shard
@@ -164,6 +166,9 @@ class TcpTransport final : public Transport {
   std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending_
       GUARDED_BY(mu_);
   TransportStats stats_ GUARDED_BY(mu_);
+  /// Signalled (under mu_) when a connection is adopted or the transport
+  /// closes; connect_peers() waits on it for the mesh to complete.
+  std::condition_variable_any mesh_cv_;
 
   /// Piggybacked peer summaries, refreshed on every received frame.
   std::vector<std::atomic<std::uint64_t>> peer_age_;

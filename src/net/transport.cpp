@@ -68,7 +68,7 @@ InProcTransport::InProcTransport(std::size_t nodes, std::size_t capacity,
   if (nodes == 0) throw std::invalid_argument("InProcTransport: 0 nodes");
   mailboxes_.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
-    mailboxes_.push_back(std::make_unique<ccm::Mailbox<Envelope>>(
+    mailboxes_.push_back(std::make_unique<Mailbox<Envelope>>(
         capacity, "net.inproc.mailbox[" + std::to_string(n) + "]"));
   }
 }

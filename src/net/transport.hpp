@@ -1,8 +1,8 @@
 // The pluggable node-to-node transport behind the middleware runtime.
 //
-// CcmCluster speaks only this interface: workers issue blocking RPCs with
-// call(), protocol threads pull requests with receive() and answer with
-// post(). Two implementations exist:
+// CcmCluster speaks only this interface: ops issue blocking RPCs with call()
+// on their callers' threads, protocol threads pull requests with receive()
+// and answer with post(). Two implementations exist:
 //
 //  * InProcTransport — every node lives in this process; delivery is a
 //    Mailbox<Envelope> hop and payloads are shared by pointer. This is the
@@ -31,8 +31,8 @@
 #include <string>
 #include <vector>
 
-#include "ccm/transport.hpp"
 #include "net/envelope.hpp"
+#include "net/mailbox.hpp"
 #include "obs/metrics.hpp"
 #include "proto/node_state.hpp"
 #include "util/mutex.hpp"
@@ -204,7 +204,7 @@ class InProcTransport final : public Transport {
     Envelope reply;
   };
 
-  std::vector<std::unique_ptr<ccm::Mailbox<Envelope>>> mailboxes_;
+  std::vector<std::unique_ptr<Mailbox<Envelope>>> mailboxes_;
   const std::chrono::milliseconds call_timeout_;
 
   mutable util::Mutex mu_{"net.inproc.state"};  // pending table + counters

@@ -6,11 +6,12 @@
 #include <filesystem>
 #include <fstream>
 #include <cstring>
+#include <latch>
 #include <thread>
 
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
-#include "ccm/transport.hpp"
+#include "net/mailbox.hpp"
 #include "sim/random.hpp"
 
 namespace coop::ccm {
@@ -46,7 +47,7 @@ bool matches_storage(const std::vector<std::byte>& got, cache::FileId file,
 // -------------------------------------------------------------- Mailbox ---
 
 TEST(Mailbox, SendReceiveOrder) {
-  Mailbox<int> mb;
+  net::Mailbox<int> mb;
   mb.send(1);
   mb.send(2);
   EXPECT_EQ(mb.size(), 2u);
@@ -56,7 +57,7 @@ TEST(Mailbox, SendReceiveOrder) {
 }
 
 TEST(Mailbox, CloseDrainsThenEnds) {
-  Mailbox<int> mb;
+  net::Mailbox<int> mb;
   mb.send(7);
   mb.close();
   EXPECT_FALSE(mb.send(8));
@@ -65,7 +66,7 @@ TEST(Mailbox, CloseDrainsThenEnds) {
 }
 
 TEST(Mailbox, CrossThreadHandoff) {
-  Mailbox<int> mb(4);
+  net::Mailbox<int> mb(4);
   std::atomic<int> sum{0};
   std::thread consumer([&] {
     while (auto v = mb.receive()) sum += *v;
@@ -77,7 +78,7 @@ TEST(Mailbox, CrossThreadHandoff) {
 }
 
 TEST(Mailbox, BoundedCapacityBlocksProducer) {
-  Mailbox<int> mb(1);
+  net::Mailbox<int> mb(1);
   mb.send(1);
   std::atomic<bool> second_sent{false};
   std::thread producer([&] {
@@ -276,6 +277,93 @@ TEST(CcmCluster, AsyncReadsResolve) {
   for (cache::FileId f = 0; f < 10; ++f) {
     const auto data = futures[f].get();
     EXPECT_TRUE(matches_storage(data, f));
+  }
+}
+
+/// MemStorage whose reads of `gated` park until open() — lets a test hold
+/// one op inside execute_read at a known point.
+class GatedStorage final : public Storage {
+ public:
+  GatedStorage(std::vector<std::uint32_t> sizes, cache::FileId gated)
+      : inner_(std::move(sizes)), gated_(gated) {}
+  [[nodiscard]] std::size_t file_count() const override {
+    return inner_.file_count();
+  }
+  [[nodiscard]] std::uint64_t file_size(cache::FileId file) const override {
+    return inner_.file_size(file);
+  }
+  void read(cache::FileId file, std::uint64_t offset,
+            std::span<std::byte> out) const override {
+    if (file == gated_) {
+      entered_.count_down();
+      release_.wait();
+    }
+    inner_.read(file, offset, out);
+  }
+  void wait_entered() const { entered_.wait(); }
+  void open() const { release_.count_down(); }
+
+ private:
+  MemStorage inner_;
+  cache::FileId gated_;
+  mutable std::latch entered_{1};
+  mutable std::latch release_{1};
+};
+
+std::uint64_t read_ops(const CcmCluster& c) {
+  return c.metrics().snapshot().counters[static_cast<std::size_t>(
+      obs::RtCounter::kReadOp)];
+}
+
+TEST(CcmCluster, AdmissionBoundsOpsPerNode) {
+  auto storage = std::make_shared<GatedStorage>(make_sizes(3), 0);
+  CcmConfig cfg = small_config(2, 32);
+  cfg.workers_per_node = 1;
+  CcmCluster cluster(cfg, storage);
+
+  std::thread first([&] { EXPECT_TRUE(matches_storage(cluster.read(0, 0), 0)); });
+  storage->wait_entered();  // the first read holds node 0's only slot
+  ASSERT_EQ(read_ops(cluster), 1u);
+
+  std::atomic<bool> second_done{false};
+  std::thread second([&] {
+    EXPECT_TRUE(matches_storage(cluster.read(0, 1), 1));
+    second_done = true;
+  });
+  // A read via the other node is not held up by node 0's busy slot.
+  EXPECT_TRUE(matches_storage(cluster.read(1, 2), 2));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_EQ(read_ops(cluster), 2u);  // the second node-0 read has not entered
+  EXPECT_FALSE(second_done.load());
+
+  storage->open();
+  first.join();
+  second.join();
+  EXPECT_EQ(read_ops(cluster), 3u);
+  EXPECT_TRUE(cluster.check_consistency());
+}
+
+TEST(CcmCluster, DestructorWaitsForOutstandingAsyncReads) {
+  auto storage = std::make_shared<GatedStorage>(make_sizes(8), 0);
+  CcmConfig cfg = small_config(2, 32);
+  cfg.workers_per_node = 1;
+  auto cluster = std::make_unique<CcmCluster>(cfg, storage);
+  std::vector<std::future<std::vector<std::byte>>> futures;
+  for (cache::FileId f = 0; f < 8; ++f) {
+    futures.push_back(cluster->read_async(static_cast<cache::NodeId>(f % 2), f));
+  }
+  storage->wait_entered();  // file 0 holds node 0; its other reads queue
+  std::atomic<bool> opened{false};
+  std::thread opener([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    opened = true;
+    storage->open();
+  });
+  cluster.reset();  // must wait for every registered read
+  EXPECT_TRUE(opened.load());
+  opener.join();
+  for (cache::FileId f = 0; f < 8; ++f) {
+    EXPECT_TRUE(matches_storage(futures[f].get(), f));
   }
 }
 

@@ -21,8 +21,8 @@
 #include "ccm/directory_client.hpp"
 #include "ccm/remote_storage.hpp"
 #include "ccm/storage.hpp"
-#include "ccm/transport.hpp"
 #include "net/frame.hpp"
+#include "net/mailbox.hpp"
 #include "net/tcp_transport.hpp"
 #include "net/transport.hpp"
 #include "proto/dir_batch.hpp"
@@ -36,7 +36,7 @@ using namespace std::chrono_literals;
 // ------------------------------------------------------------- Mailbox ----
 
 TEST(Mailbox, TrySendFailsWhenFullThenRecoversAfterDrain) {
-  ccm::Mailbox<int> mb(2);
+  net::Mailbox<int> mb(2);
   EXPECT_TRUE(mb.try_send(1));
   EXPECT_TRUE(mb.try_send(2));
   EXPECT_FALSE(mb.try_send(3));  // full: dropped, not blocked
@@ -47,7 +47,7 @@ TEST(Mailbox, TrySendFailsWhenFullThenRecoversAfterDrain) {
 }
 
 TEST(Mailbox, SendForTimesOutAgainstAFullMailbox) {
-  ccm::Mailbox<int> mb(1);
+  net::Mailbox<int> mb(1);
   ASSERT_TRUE(mb.try_send(1));
   const auto t0 = std::chrono::steady_clock::now();
   EXPECT_FALSE(mb.send_for(2, 30ms));
@@ -55,7 +55,7 @@ TEST(Mailbox, SendForTimesOutAgainstAFullMailbox) {
 }
 
 TEST(Mailbox, SendForSucceedsOnceAConsumerMakesRoom) {
-  ccm::Mailbox<int> mb(1);
+  net::Mailbox<int> mb(1);
   ASSERT_TRUE(mb.try_send(1));
   std::thread consumer([&] {
     std::this_thread::sleep_for(20ms);
@@ -67,7 +67,7 @@ TEST(Mailbox, SendForSucceedsOnceAConsumerMakesRoom) {
 }
 
 TEST(Mailbox, ReceiveForTimesOutEmptyAndDeliversWhenFed) {
-  ccm::Mailbox<int> mb;
+  net::Mailbox<int> mb;
   EXPECT_EQ(mb.receive_for(20ms), std::nullopt);
   ASSERT_TRUE(mb.try_send(7));
   EXPECT_EQ(mb.receive_for(20ms), 7);

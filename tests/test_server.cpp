@@ -222,6 +222,12 @@ struct PresetParam {
   SystemKind system;
 };
 
+// Print by value so the CTest name (built from the printed parameter) is the
+// same on every run; the default byte dump would embed the string's address.
+void PrintTo(const PresetParam& p, std::ostream* os) {
+  *os << p.preset << "_" << to_string(p.system);
+}
+
 class PresetSmoke : public testing::TestWithParam<PresetParam> {};
 
 TEST_P(PresetSmoke, ServesTruncatedPreset) {
