@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -439,7 +440,11 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
 
     case proto::MsgKind::kWriteOwnership: {
       util::UniqueLock lock(sh.mu);
-      if (sh.state.relinquish_master(msg.block)) {
+      // A later writer here may have claimed the block back (and installed
+      // its bytes) after the requester's claim: the master then stays, as
+      // the directory says, and the requester's install check fails.
+      if (dir_->lookup(msg.block) != self &&
+          sh.state.relinquish_master(msg.block)) {
         const auto it = sh.store.find(msg.block);
         assert(it != sh.store.end());
         BlockPtr data = std::move(it->second);
@@ -478,7 +483,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
         home_dir_->apply_batch(req->node, req->items, results);
       }
       // A malformed request answers with zero results; the client sees the
-      // count mismatch and falls back to the singles protocol.
+      // count mismatch and throws.
       auto payload = proto::encode_dir_batch_reply(results);
       const auto bytes = static_cast<std::uint64_t>(payload.size());
       return {proto::Message::dir_batch_reply(
@@ -487,17 +492,12 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
               net::make_ready_block(std::move(payload))};
     }
 
-    case proto::MsgKind::kDirLookupRead:
-    case proto::MsgKind::kDirLookup:
-    case proto::MsgKind::kDirTryClaim:
     case proto::MsgKind::kDirBeginForward:
     case proto::MsgKind::kDirClaimForwarded:
     case proto::MsgKind::kDirForwardRejected:
-    case proto::MsgKind::kDirMasterDropped:
     case proto::MsgKind::kDirWriteClaim:
     case proto::MsgKind::kDirWriteBegin:
     case proto::MsgKind::kDirWriteEnd:
-    case proto::MsgKind::kDirReadCacheable:
     case proto::MsgKind::kDirInvalidateFile:
     case proto::MsgKind::kDirPurgeNode:
       return handle_directory(self, msg);
@@ -561,91 +561,44 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
   assert(home_dir_ != nullptr && self == home_);
   proto::DirectoryService& d = *home_dir_;
   const cache::NodeId to = msg.from;
+  const auto reply = [&](cache::NodeId result, std::uint64_t epoch,
+                         bool granted) -> Reply {
+    return {proto::Message::dir_reply(self, to, msg.block, result, epoch,
+                                      granted),
+            nullptr};
+  };
   switch (msg.kind) {
-    case proto::MsgKind::kDirLookupRead: {
-      const auto lk = d.lookup_for_read(msg.from, msg.block);
-      return {proto::Message::dir_reply(self, to, msg.block, lk.master,
-                                        lk.epoch, /*granted=*/false,
-                                        lk.misdirected),
-              nullptr};
-    }
-    case proto::MsgKind::kDirLookup:
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        d.lookup(msg.block), 0, false, false),
-              nullptr};
-    case proto::MsgKind::kDirTryClaim:
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0,
-                                        d.try_claim(msg.block, msg.from),
-                                        false),
-              nullptr};
     case proto::MsgKind::kDirBeginForward: {
       const auto epoch = d.begin_forward(msg.block, msg.from);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode,
-                                        epoch.value_or(0), epoch.has_value(),
-                                        false),
-              nullptr};
+      return reply(cache::kInvalidNode, epoch.value_or(0), epoch.has_value());
     }
-    case proto::MsgKind::kDirClaimForwarded: {
-      const bool granted = d.claim_forwarded(
-          msg.block, msg.from, static_cast<cache::NodeId>(msg.count),
-          msg.age);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, granted,
-                                        false),
-              nullptr};
-    }
+    case proto::MsgKind::kDirClaimForwarded:
+      return reply(cache::kInvalidNode, 0,
+                   d.claim_forwarded(msg.block, msg.from,
+                                     static_cast<cache::NodeId>(msg.count),
+                                     msg.age));
     case proto::MsgKind::kDirForwardRejected:
       d.forward_rejected(msg.block, msg.from);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, true, false),
-              nullptr};
-    case proto::MsgKind::kDirMasterDropped:
-      d.master_dropped(msg.block, msg.from);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, true, false),
-              nullptr};
+      return reply(cache::kInvalidNode, 0, true);
     case proto::MsgKind::kDirWriteClaim:
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        d.write_claim(msg.block, msg.from), 0,
-                                        true, false),
-              nullptr};
+      return reply(d.write_claim(msg.block, msg.from), 0, true);
     case proto::MsgKind::kDirWriteBegin:
       d.write_begin(msg.block.file);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, true, false),
-              nullptr};
+      return reply(cache::kInvalidNode, 0, true);
     case proto::MsgKind::kDirWriteEnd:
       d.write_end(msg.block.file);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, true, false),
-              nullptr};
-    case proto::MsgKind::kDirReadCacheable:
-      return {proto::Message::dir_reply(
-                  self, to, msg.block, cache::kInvalidNode, 0,
-                  d.read_cacheable(msg.block.file, msg.age), false),
-              nullptr};
+      return reply(cache::kInvalidNode, 0, true);
     case proto::MsgKind::kDirInvalidateFile:
       d.invalidate_file(msg.block.file);
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, true, false),
-              nullptr};
-    case proto::MsgKind::kDirPurgeNode: {
+      return reply(cache::kInvalidNode, 0, true);
+    case proto::MsgKind::kDirPurgeNode:
       // `count` names the dead node; the purged-master count rides back in
       // the reply's epoch slot. Idempotent: a re-ask purges nothing more.
-      const std::size_t purged =
-          d.purge_node(static_cast<cache::NodeId>(msg.count));
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, purged, true,
-                                        false),
-              nullptr};
-    }
+      return reply(cache::kInvalidNode,
+                   d.purge_node(static_cast<cache::NodeId>(msg.count)), true);
     default:
       assert(false && "not a directory request");
-      return {proto::Message::dir_reply(self, to, msg.block,
-                                        cache::kInvalidNode, 0, false, false),
-              nullptr};
+      return reply(cache::kInvalidNode, 0, false);
   }
 }
 
@@ -654,16 +607,16 @@ CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
 void CcmCluster::drop_masters(cache::NodeId node,
                               const std::vector<cache::BlockId>& dropped) {
   if (dropped.empty()) return;
-  if (config_.batch_directory && dropped.size() > 1) {
-    std::vector<proto::DirBatchItem> items;
-    items.reserve(dropped.size());
-    for (const cache::BlockId& b : dropped) {
-      items.push_back({proto::DirBatchOp::kMasterDropped, b});
-    }
-    dir_->batch(node, items);
+  if (dropped.size() == 1) {
+    dir_->master_dropped(dropped.front(), node);
     return;
   }
-  for (const cache::BlockId& b : dropped) dir_->master_dropped(b, node);
+  std::vector<proto::DirBatchItem> items;
+  items.reserve(dropped.size());
+  for (const cache::BlockId& b : dropped) {
+    items.push_back({proto::DirBatchOp::kMasterDropped, b});
+  }
+  dir_->batch(node, items);
 }
 
 void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
@@ -736,146 +689,6 @@ void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
   }
 }
 
-// --------------------------------------------------------------- reads ----
-
-CcmCluster::BlockPtr CcmCluster::acquire_block(
-    cache::NodeId node, const cache::BlockId& block,
-    std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read) {
-  Shard& sh = *shards_[node];
-  for (int attempt = 0; attempt < kAcquireAttempts; ++attempt) {
-    if (attempt > 0) std::this_thread::yield();
-
-    // Hot path: a block resident at this node costs one shard lock — no
-    // directory access, no cross-node traffic.
-    {
-      const std::uint64_t lw0 = obs::runtime_now_ns();
-      util::UniqueLock lock(sh.mu);
-      metrics_.record_lock_wait(obs::runtime_now_ns() - lw0);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-        sh.state.publish();
-        CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "local_hit"));
-        return it->second;
-      }
-    }
-
-    const auto lk = dir_->lookup_for_read(node, block);
-    if (lk.master == node) {
-      // Directory says the master is here but the store check above missed:
-      // an in-flight transition (our own forward landing back, a write
-      // ownership migration) — settle and retry.
-      continue;
-    }
-
-    if (lk.master != cache::kInvalidNode) {
-      // Remote hit: fetch a copy from the master holder. In hinted mode a
-      // stale hint was already counted (and the request re-chained) by
-      // lookup_for_read, exactly as ClusterCache charges it.
-      Reply reply;
-      try {
-        reply = rpc(proto::Message::peer_fetch(node, lk.master, block,
-                                               lk.misdirected));
-      } catch (const net::TransportError&) {
-        // Master unreachable (crashed, or the link ate every retry): re-read
-        // the directory — a crash purge re-homes the block; otherwise the
-        // bounded acquire loop falls back to an uncached storage read.
-        continue;
-      }
-      if (!reply.msg.has(proto::kFlagHit) || !reply.data) {
-        continue;  // the master moved while the fetch was in flight
-      }
-      const std::uint64_t lw1 = obs::runtime_now_ns();
-      util::UniqueLock lock(sh.mu);
-      metrics_.record_lock_wait(obs::runtime_now_ns() - lw1);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        // A concurrent op cached the block while we fetched.
-        sh.state.touch(block, tick());
-        ++sh.state.stats().remote_hits;
-        metrics_.incr(obs::RtCounter::kPeerHit);
-        sh.state.publish();
-        return it->second;
-      }
-      ++sh.state.stats().remote_hits;
-      metrics_.incr(obs::RtCounter::kPeerHit);
-      make_room_locked(lock, node, 1);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        sh.state.publish();
-        return it->second;
-      }
-      // Don't cache a copy whose master moved — or whose file has a write in
-      // flight or a bumped epoch — while the fetch was in flight: the
-      // writer's invalidation sweep may already have visited this node and
-      // would never drop a copy planted after it. In-flight writes matter
-      // because a whole lookup→fetch→insert can land inside the write span
-      // (after its claim, before its buffer swap) with no visible directory
-      // change. The bytes themselves are still valid to *return*: a read
-      // racing a write may see the superseded content.
-      if (dir_->lookup(block) != lk.master ||
-          !dir_->read_cacheable(block.file, lk.epoch)) {
-        sh.state.publish();
-        return reply.data;
-      }
-      sh.state.insert_copy(block, tick());
-      sh.store[block] = reply.data;
-      sh.state.publish();
-      CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "remote_hit"));
-      return reply.data;
-    }
-
-    // Miss everywhere: claim mastership and fault the block in from storage.
-    {
-      const std::uint64_t lw2 = obs::runtime_now_ns();
-      util::UniqueLock lock(sh.mu);
-      metrics_.record_lock_wait(obs::runtime_now_ns() - lw2);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-        sh.state.publish();
-        return it->second;
-      }
-      make_room_locked(lock, node, 1);
-      if (const auto it = sh.store.find(block); it != sh.store.end()) {
-        sh.state.touch(block, tick());
-        ++sh.state.stats().local_hits;
-        metrics_.incr(obs::RtCounter::kLocalHit);
-        sh.state.publish();
-        return it->second;
-      }
-      if (dir_->try_claim(block, node)) {
-        ++sh.state.stats().disk_reads;
-        metrics_.incr(obs::RtCounter::kMasterClaim);
-        metrics_.incr(obs::RtCounter::kDiskRead);
-        sh.state.insert_master(block, tick());
-        auto data = std::make_shared<BlockData>();
-        sh.store.emplace(block, data);
-        to_read.emplace_back(block, data);
-        sh.state.publish();
-        CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "disk_read"));
-        return data;
-      }
-      sh.state.publish();
-    }
-    // Claim lost: somebody else became the master — retry as a remote hit.
-  }
-
-  // Liveness fallback after pathological churn: serve the read uncached.
-  metrics_.incr(obs::RtCounter::kUncachedFallback);
-  metrics_.incr(obs::RtCounter::kDiskRead);
-  {
-    util::ScopedLock lock(sh.mu);
-    ++sh.state.stats().disk_reads;
-  }
-  auto data = std::make_shared<BlockData>();
-  to_read.emplace_back(block, data);
-  return data;
-}
-
 // ---------------------------------------------------------- hint slots ----
 
 namespace {
@@ -930,15 +743,50 @@ void CcmCluster::hint_clear_file(cache::FileId file) {
   }
 }
 
-// --------------------------------------------------------- batched read ----
+// --------------------------------------------------------------- reads ----
 
 void CcmCluster::acquire_run(
     cache::NodeId node, cache::FileId file, std::uint32_t first,
     std::uint32_t last, std::vector<BlockPtr>& parts,
     std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read) {
-  Shard& sh = *shards_[node];
   const std::size_t base = parts.size();
   parts.resize(base + (last - first + 1));  // filled per block, in order
+  const std::span<BlockPtr> slots(parts.data() + base, last - first + 1);
+  std::vector<std::uint32_t> wanted(last - first + 1);
+  std::iota(wanted.begin(), wanted.end(), first);
+
+  // Hint slots answer the first round only: a straggler re-chains through
+  // the authoritative directory.
+  const bool use_hints = config_.directory == cache::DirectoryMode::kPerfect &&
+                         config_.batch_directory;
+  for (int round = 0; round < kAcquireAttempts && !wanted.empty(); ++round) {
+    if (round > 0) std::this_thread::yield();
+    wanted = acquire_round(node, file, first, wanted, use_hints && round == 0,
+                           slots, to_read);
+  }
+  if (wanted.empty()) return;
+
+  // Liveness floor after pathological churn: serve the stragglers uncached.
+  Shard& sh = *shards_[node];
+  {
+    util::ScopedLock lock(sh.mu);
+    sh.state.stats().disk_reads += wanted.size();
+  }
+  for (const std::uint32_t b : wanted) {
+    metrics_.incr(obs::RtCounter::kUncachedFallback);
+    metrics_.incr(obs::RtCounter::kDiskRead);
+    auto data = std::make_shared<BlockData>();
+    to_read.emplace_back(cache::BlockId{file, b}, data);
+    slots[b - first] = std::move(data);
+  }
+}
+
+std::vector<std::uint32_t> CcmCluster::acquire_round(
+    cache::NodeId node, cache::FileId file, std::uint32_t first,
+    const std::vector<std::uint32_t>& wanted, bool use_hints,
+    std::span<BlockPtr> slots,
+    std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read) {
+  Shard& sh = *shards_[node];
 
   struct Pending {
     std::uint32_t index;  // block index within `file`
@@ -949,25 +797,25 @@ void CcmCluster::acquire_run(
     BlockPtr fetched;  // peer-fetch payload awaiting validation
   };
   const auto slot_of = [&](const Pending& p) -> BlockPtr& {
-    return parts[base + (p.index - first)];
+    return slots[p.index - first];
   };
 
-  // Pass 1 — local hits: the whole run's resident blocks cost ONE shard-lock
-  // acquisition (the unbatched path pays one per block).
+  // Pass 1 — local hits: every wanted block that is resident costs ONE
+  // shard-lock acquisition together.
   std::vector<Pending> pending;
   {
     const std::uint64_t lw0 = obs::runtime_now_ns();
     util::UniqueLock lock(sh.mu);
     metrics_.record_lock_wait(obs::runtime_now_ns() - lw0);
     bool any = false;
-    for (std::uint32_t b = first; b <= last; ++b) {
+    for (const std::uint32_t b : wanted) {
       const cache::BlockId block{file, b};
       if (const auto it = sh.store.find(block); it != sh.store.end()) {
         sh.state.touch(block, tick());
         ++sh.state.stats().local_hits;
         metrics_.incr(obs::RtCounter::kLocalHit);
         sh.local_reads.fetch_add(1, std::memory_order_relaxed);
-        parts[base + (b - first)] = it->second;
+        slots[b - first] = it->second;
         any = true;
       } else {
         Pending p;
@@ -980,13 +828,11 @@ void CcmCluster::acquire_run(
       CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "local_hit"));
     }
   }
-  if (pending.empty()) return;
+  if (pending.empty()) return {};
 
-  // Pass 2 — resolve masters: hint slots answer for free (kPerfect mode);
+  // Pass 2 — resolve masters: hint slots answer for free (when `use_hints`);
   // ONE batched lookup covers the rest. Authoritative answers refresh the
   // hint slots.
-  const bool use_hints =
-      config_.directory == cache::DirectoryMode::kPerfect;
   std::vector<proto::DirBatchItem> lookups;
   std::vector<std::size_t> lookup_owner;
   for (std::size_t i = 0; i < pending.size(); ++i) {
@@ -1019,15 +865,16 @@ void CcmCluster::acquire_run(
     }
   }
 
-  std::vector<std::size_t> to_claim, to_fetch, fallback;
+  std::vector<std::size_t> to_claim, to_fetch;
+  std::vector<std::uint32_t> stragglers;
   for (std::size_t i = 0; i < pending.size(); ++i) {
     if (pending[i].master == cache::kInvalidNode) {
       to_claim.push_back(i);
     } else if (pending[i].master == node) {
       // Directory names us but pass 1 missed: an in-flight transition (our
-      // own forward landing back, a write migration) — let the per-block
-      // retry loop settle it.
-      fallback.push_back(i);
+      // own forward landing back, a write migration) — let the next round
+      // settle it.
+      stragglers.push_back(pending[i].index);
     } else {
       to_fetch.push_back(i);
     }
@@ -1035,10 +882,9 @@ void CcmCluster::acquire_run(
 
   // Pass 3 — misses: ONE batched try_claim masters the uncached blocks.
   // The claim is issued *under the shard lock* with the inserts following in
-  // the same hold, exactly the atomicity the unbatched path gets from
-  // claiming inside its locked scope: a rival writer's ownership migration
-  // (kWriteOwnership needs this lock) cannot interleave between a granted
-  // claim and its insert. Chunked to the cache's capacity so make_room can
+  // the same hold: a rival writer's ownership migration (kWriteOwnership
+  // needs this lock) cannot interleave between a granted claim and its
+  // insert. Chunked to the cache's capacity so make_room can
   // always clear space for a chunk before its inserts.
   if (!to_claim.empty()) {
     const std::uint64_t lw1 = obs::runtime_now_ns();
@@ -1078,7 +924,7 @@ void CcmCluster::acquire_run(
       for (std::size_t k = 0; k < want.size(); ++k) {
         Pending& p = pending[want[k]];
         if (!granted[k].has(proto::kFlagGranted)) {
-          fallback.push_back(want[k]);  // lost the race: retry as a fetch
+          stragglers.push_back(p.index);  // lost the race: retry as a fetch
           continue;
         }
         const cache::BlockId block{file, p.index};
@@ -1098,8 +944,7 @@ void CcmCluster::acquire_run(
 
   // Pass 4 — remote hits: per-block peer fetches (bulk payloads keep their
   // own RPCs — that is the zero-copy path), then ONE batched validation
-  // under the shard lock decides which copies may be cached, the same
-  // lookup+read_cacheable predicate the unbatched path re-checks.
+  // under the shard lock decides which copies may be cached.
   std::vector<std::size_t> fetched;
   for (const std::size_t i : to_fetch) {
     Pending& p = pending[i];
@@ -1113,7 +958,8 @@ void CcmCluster::acquire_run(
         hint_stale_.fetch_add(1, std::memory_order_relaxed);
         hint_clear(block);
       }
-      fallback.push_back(i);  // re-read the directory (crash purge re-homes)
+      stragglers.push_back(p.index);  // re-read the directory (a crash
+                                      // purge re-homes the block)
       continue;
     }
     if (!reply.msg.has(proto::kFlagHit) || !reply.data) {
@@ -1121,7 +967,7 @@ void CcmCluster::acquire_run(
         hint_stale_.fetch_add(1, std::memory_order_relaxed);
         hint_clear(block);
       }
-      fallback.push_back(i);  // the master moved while the fetch flew
+      stragglers.push_back(p.index);  // the master moved while it flew
       continue;
     }
     p.fetched = std::move(reply.data);
@@ -1170,9 +1016,12 @@ void CcmCluster::acquire_run(
         checked.push_back(i);
       }
       if (checks.empty()) continue;
-      // Issued with the lock held, like the unbatched re-validation: the
-      // check and the insert must be atomic against an invalidation sweep,
-      // which needs this shard lock to visit us.
+      // Issued with the lock held: the check and the insert must be atomic
+      // against an invalidation sweep, which needs this shard lock to visit
+      // us. A copy whose master moved — or whose file has a write in flight
+      // or a bumped epoch — while the fetch flew is served but not cached:
+      // the writer's sweep may already have visited this node and would
+      // never drop a copy planted after it.
       const auto verdicts = dir_->batch(node, checks);
       assert(verdicts.size() == checks.size());
       for (std::size_t k = 0; k < checked.size(); ++k) {
@@ -1205,13 +1054,7 @@ void CcmCluster::acquire_run(
     sh.state.publish();
     CCM_AUDIT_HOOK(audit_shard_locked(sh, node, "remote_hit"));
   }
-
-  // Pass 5 — stragglers: whatever raced a transition goes through the
-  // per-block protocol, retries, liveness fallback and all.
-  for (const std::size_t i : fallback) {
-    Pending& p = pending[i];
-    slot_of(p) = acquire_block(node, {file, p.index}, to_read);
-  }
+  return stragglers;
 }
 
 std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
@@ -1234,8 +1077,9 @@ std::vector<std::byte> CcmCluster::execute_read(cache::NodeId node,
   if (config_.batch_directory) {
     acquire_run(node, file, first_block, last_block, parts, to_read);
   } else {
+    // The per-block protocol: every block is a one-block run.
     for (std::uint32_t b = first_block; b <= last_block; ++b) {
-      parts.push_back(acquire_block(node, cache::BlockId{file, b}, to_read));
+      acquire_run(node, file, b, b, parts, to_read);
     }
   }
 

@@ -57,6 +57,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -87,11 +88,12 @@ struct CcmConfig {
   /// Ops that may execute at one node at once (its admission slots). Ops
   /// run on the caller's thread; callers beyond the limit wait for a slot.
   std::size_t workers_per_node = 2;
-  /// Batch directory traffic: multi-block reads collect their lookups,
-  /// claims, and cache-validations into kDirBatch round trips (one shard-lock
-  /// acquisition at the service per batch), and eviction sweeps batch their
-  /// master drops. Off restores the one-RPC-per-op protocol — bit-identical
-  /// directory state either way (see docs/MIDDLEWARE.md).
+  /// Batch directory traffic: a multi-block read resolves its whole block
+  /// run with one local-hit pass and kDirBatch round trips for its lookups,
+  /// claims, and cache validations, with hint slots short-circuiting
+  /// lookups (kPerfect mode). Off runs each block as its own one-block run
+  /// with no hint slots — the per-block protocol, through the same code and
+  /// with bit-identical directory state (see docs/MIDDLEWARE.md).
   bool batch_directory = true;
 };
 
@@ -433,26 +435,30 @@ class CcmCluster {
   void execute_write(cache::NodeId node, cache::FileId file,
                      std::uint64_t offset, std::span<const std::byte> data);
 
-  /// Materializes one block at `node` per the cooperative caching protocol:
-  /// local hit, peer fetch (RPC to the master holder), or a disk-read claim
-  /// (appended to `to_read` for the caller to fault in). Retries around
-  /// directory races; falls back to an uncached read for liveness.
-  BlockPtr acquire_block(cache::NodeId node, const cache::BlockId& block,
-                         std::vector<std::pair<cache::BlockId, BlockPtr>>&
-                             to_read);
-
-  /// Batched form of acquire_block for the contiguous run [first, last] of
-  /// `file`'s blocks (config_.batch_directory): one shard-lock pass drains
-  /// the local hits, one kDirBatch lookup resolves the misses (hint slots
-  /// short-circuit it per block), one batch claim (issued under the shard
-  /// lock, like the single path's try_claim) masters the uncached ones, and
-  /// fetched copies are validated by one batched kValidate under the shard
-  /// lock before insertion. Any block that races a transition falls back to
-  /// acquire_block — same retries, same uncached-liveness floor. Appends one
-  /// BlockPtr per block to `parts`, in block order.
+  /// Materializes the contiguous run [first, last] of `file`'s blocks at
+  /// `node` per the cooperative caching protocol — the only way a read
+  /// acquires blocks. Each round runs four passes over the blocks still
+  /// wanted: one shard-lock pass drains the local hits; one kDirBatch lookup
+  /// resolves the misses (hint slots short-circuit it per block in the first
+  /// round); one batch claim, issued under the shard lock, masters the
+  /// uncached ones (appended to `to_read` for the caller to fault in); and
+  /// peer-fetched copies are validated by one batched kValidate under the
+  /// shard lock before insertion. A block that races a transition straggles
+  /// into the next round, for at most kAcquireAttempts rounds; after that it
+  /// is served uncached for liveness. Appends one BlockPtr per block to
+  /// `parts`, in block order.
   void acquire_run(cache::NodeId node, cache::FileId file, std::uint32_t first,
                    std::uint32_t last, std::vector<BlockPtr>& parts,
                    std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read);
+
+  /// One round of acquire_run (passes 1–4) over the block indices `wanted`:
+  /// fills `slots[b - first]` for every block b it resolves and returns the
+  /// stragglers.
+  std::vector<std::uint32_t> acquire_round(
+      cache::NodeId node, cache::FileId file, std::uint32_t first,
+      const std::vector<std::uint32_t>& wanted, bool use_hints,
+      std::span<BlockPtr> slots,
+      std::vector<std::pair<cache::BlockId, BlockPtr>>& to_read);
 
   // --- master-location hint slots (the read-mostly fast path) ---
   //
@@ -460,8 +466,8 @@ class CcmCluster {
   // block to its last authoritatively observed (master, epoch). A probe hit
   // skips the directory lookup entirely — no lock, no RPC; the later batched
   // kValidate (under the inserting shard's lock) is what keeps a stale hint
-  // from planting an uncacheable copy, exactly the check the unbatched path
-  // makes against its authoritative lookup. key and val are independent
+  // from planting an uncacheable copy, exactly the check a copy fetched
+  // after an authoritative lookup passes. key and val are independent
   // atomics, so a reader racing a publisher can see a torn pair; the worst
   // outcome is a wrong candidate master — a peer-fetch miss or a failed
   // validation, both of which re-chain through the authoritative protocol.
@@ -491,11 +497,9 @@ class CcmCluster {
   void hint_clear(const cache::BlockId& b);
   void hint_clear_file(cache::FileId file);
 
-  /// Unregisters a sweep's worth of dropped masters: one kDirBatch round
-  /// trip when batching is on and the sweep dropped more than one, the
-  /// single-op protocol otherwise. Call sites hold the shard lock, exactly
-  /// as they did around the per-drop master_dropped calls this replaces
-  /// (the directory stays the leaf either way).
+  /// Unregisters a sweep's worth of dropped masters in one directory round
+  /// trip (a kDirBatch when the sweep dropped more than one). Call sites hold
+  /// the shard lock (the directory stays the leaf).
   void drop_masters(cache::NodeId node,
                     const std::vector<cache::BlockId>& dropped);
 

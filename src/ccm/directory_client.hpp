@@ -261,8 +261,12 @@ class LocalDirectory final : public DirectoryClient {
 };
 
 /// The directory lives at `home` in another process; every operation is one
-/// kDir* RPC over the transport, answered with a generic kDirReply (or a
-/// kDirBatchReply whose payload carries the per-item results).
+/// RPC over the transport. Lookups, claims, master drops and cache
+/// validations ride kDirBatchRequest (a single op is a batch of one, answered
+/// by a kDirBatchReply whose payload carries the per-item results); the
+/// other ops are kDir* singles answered with a generic kDirReply. A batch
+/// reply that does not decode to one result per item throws
+/// std::runtime_error.
 class RemoteDirectory final : public DirectoryClient {
  public:
   /// `retry_stats` (optional, must outlive the client) accumulates the
@@ -310,6 +314,9 @@ class RemoteDirectory final : public DirectoryClient {
  private:
   /// Round-trips one request and returns the kDirReply message.
   proto::Message ask(const proto::Message& request);
+  /// Round-trips `op` on `b` as a one-item kDirBatch.
+  proto::DirBatchResult ask_one(cache::NodeId node, proto::DirBatchOp op,
+                                const cache::BlockId& b);
 
   std::shared_ptr<net::Transport> transport_;
   cache::NodeId local_;

@@ -4,10 +4,11 @@
 // One envelope carries a length-prefixed vector of per-block directory ops,
 // so a read path touching N blocks of a file costs one RPC and one
 // directory-lock acquisition instead of N of each. The batch is *not* a
-// transaction: each item applies exactly the same conditional/idempotent
-// operation the singles protocol applies (see DirectoryService), so an
-// at-least-once replay of the whole batch is as safe as replaying each
-// single — the net/call_with_retry contract is unchanged.
+// transaction: each item applies exactly the conditional/idempotent
+// operation of the matching DirectoryService call, so an at-least-once
+// replay of the whole batch is as safe as replaying each call — the
+// net/call_with_retry contract is unchanged. A single lookup, claim, master
+// drop or validation travels as a batch of one.
 //
 // Payload layout (little-endian; independent of the fixed Message wire):
 //
@@ -39,6 +40,11 @@ inline constexpr std::uint8_t kDirBatchVersion = 1;
 /// than this (the cluster batches per-file block runs, far smaller).
 inline constexpr std::uint32_t kDirBatchMaxItems = 1u << 16;
 
+/// Every op must stay safe to receive twice — idempotent or conditional at
+/// the service — because a batch may be replayed whole: call_with_retry
+/// re-sends it, and the fault-injection pools (net/fault.cpp) drop, duplicate
+/// and reply-drop kDirBatchRequest. A new op that is not (write_claim,
+/// write_begin/end) belongs on its own single kind instead.
 enum class DirBatchOp : std::uint8_t {
   kLookupRead = 0,  // lookup_for_read(node, block)
   kTryClaim,        // try_claim(block, node)

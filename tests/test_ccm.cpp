@@ -5,6 +5,7 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <cstring>
 #include <latch>
 #include <thread>
@@ -400,10 +401,11 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
   const auto sizes = make_sizes(40, /*seed=*/21);
   CcmConfig mc = small_config(3, 16);
   mc.workers_per_node = 1;
-  // Parity is against the bare engine's strictly per-block transitions; the
-  // batched read path amortizes them (one local-hit pass, grouped claims),
-  // which is equivalent in content but not in LRU trace. The singles
-  // protocol is the one that must stay step-identical.
+  // Parity is against the bare engine's strictly per-block transitions; a
+  // multi-block run amortizes them (one local-hit pass, grouped claims),
+  // which is equivalent in content but not in LRU trace. The per-block
+  // protocol — every block its own one-block run, no hint slots — is the
+  // one that must stay step-identical.
   mc.batch_directory = false;
   CcmCluster cluster(mc, std::make_shared<MemStorage>(sizes));
 
@@ -436,6 +438,118 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
   }
 }
 
+/// Forwards every directory op to an in-process LocalDirectory; tests
+/// override the ops they perturb.
+class ForwardingDirectory : public DirectoryClient {
+ public:
+  explicit ForwardingDirectory(std::size_t nodes)
+      : inner_(nodes, cache::DirectoryMode::kPerfect, 1) {}
+
+  proto::DirectoryService::Ops ops() override { return inner_.ops(); }
+  void reset_ops() override { inner_.reset_ops(); }
+  double hint_accuracy() override { return inner_.hint_accuracy(); }
+  cache::NodeId hint_truth(const cache::BlockId& b) override {
+    return inner_.hint_truth(b);
+  }
+  std::size_t master_count() override { return inner_.master_count(); }
+  std::size_t audit(const char* context) override {
+    return inner_.audit(context);
+  }
+  proto::DirectoryService* service() override { return inner_.service(); }
+
+ protected:
+  proto::DirectoryService::ReadLookup lookup_for_read_impl(
+      cache::NodeId node, const cache::BlockId& b) override {
+    return inner_.lookup_for_read(node, b);
+  }
+  cache::NodeId lookup_impl(const cache::BlockId& b) override {
+    return inner_.lookup(b);
+  }
+  bool try_claim_impl(const cache::BlockId& b, cache::NodeId node) override {
+    return inner_.try_claim(b, node);
+  }
+  std::optional<std::uint64_t> begin_forward_impl(const cache::BlockId& b,
+                                                  cache::NodeId from) override {
+    return inner_.begin_forward(b, from);
+  }
+  bool claim_forwarded_impl(const cache::BlockId& b, cache::NodeId to,
+                            cache::NodeId from, std::uint64_t epoch) override {
+    return inner_.claim_forwarded(b, to, from, epoch);
+  }
+  void forward_rejected_impl(const cache::BlockId& b,
+                             cache::NodeId from) override {
+    inner_.forward_rejected(b, from);
+  }
+  void master_dropped_impl(const cache::BlockId& b,
+                           cache::NodeId node) override {
+    inner_.master_dropped(b, node);
+  }
+  cache::NodeId write_claim_impl(const cache::BlockId& b,
+                                 cache::NodeId writer) override {
+    return inner_.write_claim(b, writer);
+  }
+  void invalidate_file_impl(cache::FileId file) override {
+    inner_.invalidate_file(file);
+  }
+  void write_begin_impl(cache::FileId file) override {
+    inner_.write_begin(file);
+  }
+  void write_end_impl(cache::FileId file) override { inner_.write_end(file); }
+  bool read_cacheable_impl(cache::FileId file, std::uint64_t epoch) override {
+    return inner_.read_cacheable(file, epoch);
+  }
+  std::size_t purge_node_impl(cache::NodeId node) override {
+    return inner_.purge_node(node);
+  }
+  std::vector<proto::DirBatchResult> batch_impl(
+      cache::NodeId node,
+      std::span<const proto::DirBatchItem> items) override {
+    return inner_.batch(node, items);
+  }
+
+  LocalDirectory inner_;
+};
+
+/// Batched lookups always name the asking node as the master — a transition
+/// that never settles, so every block of every read straggles through each
+/// retry round.
+class NeverSettlingDirectory final : public ForwardingDirectory {
+ public:
+  using ForwardingDirectory::ForwardingDirectory;
+
+ protected:
+  std::vector<proto::DirBatchResult> batch_impl(
+      cache::NodeId node,
+      std::span<const proto::DirBatchItem> items) override {
+    auto results = inner_.batch(node, items);
+    for (std::size_t i = 0; i < items.size(); ++i) {
+      if (items[i].op == proto::DirBatchOp::kLookupRead) results[i].node = node;
+    }
+    return results;
+  }
+};
+
+TEST(CcmCluster, UnsettledBlocksFallBackToUncachedReads) {
+  // The liveness floor: a block that keeps racing a transition for every
+  // retry round is served straight from storage, uncached.
+  const auto sizes = make_sizes(4, /*seed=*/5);
+  CcmConfig cfg = small_config(3, 16);
+  CcmHosting hosting;
+  hosting.directory = std::make_shared<NeverSettlingDirectory>(cfg.nodes);
+  CcmCluster cluster(cfg, std::make_shared<MemStorage>(sizes), hosting);
+
+  const cache::FileId file = 2;
+  ASSERT_TRUE(matches_storage(cluster.read(1, file), file));
+  const std::uint64_t blocks = (sizes[file] + kBlock - 1) / kBlock;
+  ASSERT_GT(blocks, 0u);
+  EXPECT_EQ(cluster.metrics().snapshot().counters[static_cast<std::size_t>(
+                obs::RtCounter::kUncachedFallback)],
+            blocks);
+  EXPECT_EQ(cluster.stats().disk_reads, blocks);
+  EXPECT_EQ(cluster.cached_bytes(1), 0u);
+  EXPECT_TRUE(cluster.check_consistency());
+}
+
 // ------------------------------------------------------ write protocol ---
 
 std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed) {
@@ -444,6 +558,51 @@ std::vector<std::byte> pattern(std::size_t n, std::uint8_t seed) {
     out[i] = static_cast<std::byte>((seed + i * 7) & 0xFF);
   }
   return out;
+}
+
+/// Runs a hook once, right after the first write claim `writer` makes.
+class WriteClaimHook final : public ForwardingDirectory {
+ public:
+  using ForwardingDirectory::ForwardingDirectory;
+  void on_claim(cache::NodeId writer, std::function<void()> hook) {
+    writer_ = writer;
+    hook_ = std::move(hook);
+  }
+
+ protected:
+  cache::NodeId write_claim_impl(const cache::BlockId& b,
+                                 cache::NodeId writer) override {
+    const cache::NodeId previous = inner_.write_claim(b, writer);
+    if (writer == writer_ && hook_) std::exchange(hook_, nullptr)();
+    return previous;
+  }
+
+ private:
+  cache::NodeId writer_ = cache::kInvalidNode;
+  std::function<void()> hook_;
+};
+
+TEST(CcmWrite, MasterClaimedBackByALaterWriterStaysRegistered) {
+  // Node 0 masters the block. Node 3's write claims it; before node 3's
+  // ownership request reaches node 0, node 0's own write claims it back and
+  // installs there. Node 0 must then keep the master the directory names.
+  auto storage =
+      std::make_shared<BufferStorage>(std::vector<std::uint32_t>{2 * kBlock});
+  auto dir = std::make_shared<WriteClaimHook>(4);
+  CcmHosting hosting;
+  hosting.directory = dir;
+  CcmCluster cluster(small_config(4, 32), storage, hosting);
+  cluster.read(0, 0);
+  const auto first = pattern(kBlock, 3);
+  const auto second = pattern(kBlock, 4);
+  dir->on_claim(3, [&] { cluster.write(0, 0, 0, second); });
+  cluster.write(3, 0, 0, first);
+
+  EXPECT_TRUE(cluster.check_consistency());
+  EXPECT_EQ(cluster.cached_bytes(0), 2 * kBlock);
+  for (cache::NodeId via = 0; via < 4; ++via) {
+    EXPECT_EQ(cluster.read_range(via, 0, 0, kBlock), second) << via;
+  }
 }
 
 TEST(CcmWrite, WriteThenReadAnywhereSeesNewData) {

@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -694,6 +696,166 @@ TEST(ClusterOverTcp, StorageBytesMatchInProcessRun) {
   for (std::size_t n = 0; n < kEqNodes; ++n) {
     EXPECT_EQ(transports[n]->stats().payload_copies, 0u) << "node " << n;
   }
+}
+
+// ------------------------------------------------- remote directory ----
+
+/// Two TCP transports (nodes 0 and 1) meshed over loopback.
+struct TcpPair {
+  static net::TcpConfig config(cache::NodeId node) {
+    net::TcpConfig c;
+    c.local_node = node;
+    c.nodes = 2;
+    return c;
+  }
+  TcpPair() : t0(config(0)), t1(config(1)) {
+    const std::vector<net::TcpPeer> peers = {{"127.0.0.1", t0.listen_port()},
+                                             {"127.0.0.1", t1.listen_port()}};
+    std::thread mesh0([&] { t0.connect_peers(peers); });
+    t1.connect_peers(peers);
+    mesh0.join();
+  }
+  net::TcpTransport t0, t1;
+};
+
+std::shared_ptr<net::Transport> borrow(net::Transport& t) {
+  return {&t, [](net::Transport*) {}};
+}
+
+TEST(RemoteDirectory, BatchBackedSinglesMatchLocalDirectory) {
+  // lookup_for_read, lookup, try_claim, master_dropped and read_cacheable
+  // reach a home over TCP as one-item kDirBatch trips. A LocalDirectory fed
+  // the same script must give the same answer at every step.
+  TcpPair pair;
+  auto home_dir = std::make_shared<ccm::LocalDirectory>(
+      2, cache::DirectoryMode::kPerfect, 1);
+  ccm::CcmConfig cfg;
+  cfg.nodes = 2;
+  cfg.block_bytes = 1024;
+  cfg.capacity_bytes = 8 * 1024;
+  ccm::CcmHosting hosting;
+  hosting.transport = borrow(pair.t0);
+  hosting.directory = home_dir;
+  hosting.local_nodes = {0};
+  ccm::CcmCluster home(
+      cfg,
+      std::make_shared<ccm::BufferStorage>(std::vector<std::uint32_t>(4, 2048)),
+      hosting);
+  ccm::RemoteDirectory remote(borrow(pair.t1), 1, 0);
+  ccm::LocalDirectory local(2, cache::DirectoryMode::kPerfect, 1);
+
+  const cache::BlockId b{3, 1};
+  const auto lookup_for_read = [&] {
+    const auto r = remote.lookup_for_read(1, b);
+    const auto l = local.lookup_for_read(1, b);
+    EXPECT_EQ(r.master, l.master);
+    EXPECT_EQ(r.epoch, l.epoch);
+    EXPECT_EQ(r.misdirected, l.misdirected);
+    return r;
+  };
+  const auto lookup = [&] {
+    const cache::NodeId r = remote.lookup(b);
+    EXPECT_EQ(r, local.lookup(b));
+    return r;
+  };
+  const auto try_claim = [&] {
+    const bool r = remote.try_claim(b, 1);
+    EXPECT_EQ(r, local.try_claim(b, 1));
+    return r;
+  };
+  const auto read_cacheable = [&](std::uint64_t epoch) {
+    const bool r = remote.read_cacheable(b.file, epoch);
+    EXPECT_EQ(r, local.read_cacheable(b.file, epoch));
+    return r;
+  };
+  const auto master_dropped = [&] {
+    remote.master_dropped(b, 1);
+    local.master_dropped(b, 1);
+  };
+  // Node 0's own moves go straight to both directories.
+  const auto at_node0 = [&](const auto& op) {
+    op(*home_dir);
+    op(local);
+  };
+
+  // Nobody holds b: the claim is granted, and so is its at-least-once re-ask.
+  EXPECT_EQ(lookup_for_read().master, cache::kInvalidNode);
+  EXPECT_TRUE(try_claim());
+  EXPECT_TRUE(try_claim());
+  EXPECT_EQ(lookup(), 1);
+  EXPECT_TRUE(read_cacheable(0));
+
+  // A write by node 0: in flight it blocks caching; its claim moves the
+  // master and bumps the file epoch.
+  at_node0([&](ccm::DirectoryClient& d) { d.write_begin(b.file); });
+  EXPECT_FALSE(read_cacheable(0));
+  at_node0([&](ccm::DirectoryClient& d) {
+    d.write_claim(b, 0);
+    d.write_end(b.file);
+  });
+  EXPECT_EQ(lookup(), 0);
+  const std::uint64_t epoch = lookup_for_read().epoch;
+  EXPECT_GT(epoch, 0u);
+  EXPECT_FALSE(read_cacheable(0));
+  EXPECT_TRUE(read_cacheable(epoch));
+
+  // master_dropped is conditional: node 1 no longer holds b.
+  master_dropped();
+  EXPECT_EQ(lookup(), 0);
+  EXPECT_FALSE(try_claim());
+  at_node0([&](ccm::DirectoryClient& d) { d.master_dropped(b, 0); });
+  EXPECT_TRUE(try_claim());
+  master_dropped();
+  EXPECT_EQ(lookup(), cache::kInvalidNode);
+
+  const auto h = home_dir->ops();
+  const auto l = local.ops();
+  EXPECT_EQ(h.lookups, l.lookups);
+  EXPECT_EQ(h.claims, l.claims);
+  EXPECT_EQ(h.claim_conflicts, l.claim_conflicts);
+  EXPECT_EQ(h.masters_dropped, l.masters_dropped);
+  EXPECT_EQ(h.write_claims, l.write_claims);
+}
+
+TEST(RemoteDirectory, WrongResultCountThrowsInsteadOfLooping) {
+  // A home whose batch replies carry one result too many.
+  TcpPair pair;
+  std::atomic<int> served{0};
+  std::thread home([&] {
+    while (auto env = pair.t0.receive(0)) {
+      served.fetch_add(1);
+      const std::vector<proto::DirBatchResult> results(env->msg.count + 1);
+      auto payload = proto::encode_dir_batch_reply(results);
+      net::Envelope out;
+      out.msg = proto::Message::dir_batch_reply(
+          0, env->msg.from, static_cast<std::uint32_t>(results.size()),
+          payload.size());
+      out.seq = env->seq;
+      out.data = net::make_ready_block(std::move(payload));
+      pair.t0.post(std::move(out));
+    }
+  });
+  ccm::RemoteDirectory remote(borrow(pair.t1), 1, 0);
+  const auto expect_malformed = [](const auto& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a malformed batch reply must throw";
+    } catch (const net::TransportError& e) {
+      ADD_FAILURE() << "transport failure instead: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("home node 0"), std::string::npos)
+          << e.what();
+    }
+  };
+  expect_malformed([&] { (void)remote.try_claim({0, 0}, 1); });
+  const std::vector<proto::DirBatchItem> items = {
+      {proto::DirBatchOp::kLookupRead, {0, 0}},
+      {proto::DirBatchOp::kValidate, {0, 1}}};
+  expect_malformed([&] { (void)remote.batch(1, items); });
+  EXPECT_EQ(served.load(), 2);  // one trip each: no retry, no fallback
+  pair.t0.close();
+  pair.t1.close();
+  home.join();
 }
 
 }  // namespace

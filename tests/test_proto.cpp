@@ -730,9 +730,8 @@ TEST(DirectoryService, MessageAdapterAnswersLookupAndClaim) {
 
 // -------------------------------------- batched vs singles equivalence ---
 
-/// Applies one batch item through the singles protocol — the exact calls
-/// RemoteDirectory's no-batch fallback and the pre-batch runtime made — and
-/// returns the result the batch op must match.
+/// Applies one batch item through the DirectoryService single-op entry
+/// points and returns the result the batch op must match.
 DirBatchResult apply_single(DirectoryService& dir, cache::NodeId node,
                             const DirBatchItem& it) {
   DirBatchResult r;
