@@ -3,11 +3,11 @@
 // lookups, Zipf sampling, policy transitions, and simulated requests/sec.
 #include <benchmark/benchmark.h>
 
-#include "cache/coop_cache.hpp"
-#include "ccm/cluster.hpp"
-#include "ccm/storage.hpp"
 #include "cache/directory.hpp"
 #include "cache/lru.hpp"
+#include "ccm/cluster.hpp"
+#include "ccm/storage.hpp"
+#include "proto/cluster_cache.hpp"
 #include "server/cluster.hpp"
 #include "sim/engine.hpp"
 #include "sim/random.hpp"
@@ -100,7 +100,7 @@ void BM_ClusterCacheAccess(benchmark::State& state) {
   cfg.capacity_bytes = 8ull * 1024 * 1024;
   cfg.policy = state.range(0) ? cache::Policy::kNeverEvictMaster
                               : cache::Policy::kBasic;
-  cache::ClusterCache cc(cfg);
+  proto::ClusterCache cc(cfg);
   sim::Rng rng(2);
   const sim::ZipfSampler zipf(20000, 0.75);
   for (auto _ : state) {

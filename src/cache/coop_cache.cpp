@@ -1,10 +1,21 @@
 #include "cache/coop_cache.hpp"
 
-#include <cassert>
-#include <limits>
-#include <string>
-
 namespace coop::cache {
+
+CacheStats& CacheStats::operator+=(const CacheStats& o) {
+  local_hits += o.local_hits;
+  remote_hits += o.remote_hits;
+  disk_reads += o.disk_reads;
+  forwards_attempted += o.forwards_attempted;
+  forwards_accepted += o.forwards_accepted;
+  master_drops += o.master_drops;
+  copy_drops += o.copy_drops;
+  hint_misdirects += o.hint_misdirects;
+  writes += o.writes;
+  invalidations += o.invalidations;
+  ownership_migrations += o.ownership_migrations;
+  return *this;
+}
 
 double CacheStats::local_hit_rate() const {
   const auto total = block_accesses();
@@ -20,465 +31,6 @@ double CacheStats::remote_hit_rate() const {
 
 double CacheStats::global_hit_rate() const {
   return local_hit_rate() + remote_hit_rate();
-}
-
-ClusterCache::ClusterCache(const CoopCacheConfig& config,
-                           std::function<NodeId(FileId)> home_of)
-    : config_(config),
-      home_of_(std::move(home_of)),
-      hints_(config.nodes, config.hint_staleness) {
-  assert(config_.nodes > 0);
-  if (!home_of_) {
-    const auto n = config_.nodes;
-    home_of_ = [n](FileId f) { return static_cast<NodeId>(f % n); };
-  }
-  nodes_.reserve(config_.nodes);
-  for (std::size_t i = 0; i < config_.nodes; ++i) {
-    nodes_.emplace_back(config_.capacity_bytes, config_.block_bytes);
-  }
-}
-
-AccessResult ClusterCache::access(NodeId node, FileId file,
-                                  std::uint64_t file_bytes) {
-  AccessResult result;
-  const std::uint32_t nblocks = blocks_for(file_bytes, config_.block_bytes);
-  if (config_.whole_file) {
-    // Whole-file adaptation: the file is one cache entry spanning its full
-    // block footprint.
-    access_block(node, BlockId{file, 0}, result, nblocks);
-    if (access_tap_) access_tap_(node, result);
-    return result;
-  }
-  result.fetches.reserve(nblocks);
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    access_block(node, BlockId{file, i}, result);
-  }
-  if (access_tap_) access_tap_(node, result);
-  return result;
-}
-
-void ClusterCache::access_block(NodeId node, const BlockId& block,
-                                AccessResult& result, std::uint32_t slots) {
-  access_block_impl(node, block, result, slots);
-  CCM_AUDIT_HOOK(audit("access_block"));
-}
-
-void ClusterCache::access_block_impl(NodeId node, const BlockId& block,
-                                     AccessResult& result,
-                                     std::uint32_t slots) {
-  assert(node < nodes_.size());
-  NodeCache& local = nodes_[node];
-
-  // Local hit: master or copy already here.
-  if (local.contains(block)) {
-    local.touch(block, clock_.next());
-    ++stats_.local_hits;
-    emit_fetch(node, BlockFetch{block, Source::kLocalHit, node, false},
-               result);
-    return;
-  }
-
-  // Locate the master. In hinted mode the node consults its own (possibly
-  // stale) hint table; a wrong hint costs an extra round trip, a missing one
-  // means the block is treated as uncached.
-  const NodeId truth = directory_.lookup(block);
-  NodeId believed = truth;
-  bool misdirected = false;
-  if (config_.directory == DirectoryMode::kHinted) {
-    const NodeId hinted = hints_.lookup(node, block);
-    if (hinted == kInvalidNode) {
-      // No hint: the request goes to the file's home node, which — like the
-      // server in Sarkar & Hartman's scheme — knows the master location and
-      // chains the request there. Costs an extra hop; reaches disk only if
-      // no master exists.
-      if (truth != kInvalidNode) {
-        misdirected = true;
-        ++stats_.hint_misdirects;
-        hints_.refresh(node, block);
-      }
-      believed = truth;
-    } else if (hinted != truth) {
-      // Wrong hint: the probe wastes a hop, then the request is chained to
-      // the true holder (or falls through to disk if the master is gone).
-      misdirected = true;
-      ++stats_.hint_misdirects;
-      hints_.refresh(node, block);
-      believed = truth;
-    } else {
-      believed = hinted;
-    }
-  }
-
-  if (believed != kInvalidNode) {
-    // Remote hit: fetch a non-master copy from the master holder. Touch the
-    // master first so the incoming copy's eviction work cannot victimize it.
-    NodeCache& holder = nodes_[believed];
-    assert(holder.is_master(block));
-    holder.touch(block, clock_.next());
-    ++stats_.remote_hits;
-    emit_fetch(node, BlockFetch{block, Source::kRemoteHit, believed,
-                                misdirected},
-               result);
-    make_room(node, result, slots);
-    local.insert(block, /*master=*/false, clock_.next(), slots);
-    return;
-  }
-
-  // Miss everywhere (as far as the requester knows): the home node reads the
-  // block from disk and the requester becomes the master holder. In hinted
-  // mode a master may actually exist elsewhere without the requester knowing;
-  // the old master is demoted to an ordinary copy so exactly one master
-  // remains (Sarkar & Hartman resolve such duplicates the same way when the
-  // hint exchange catches up).
-  if (truth != kInvalidNode && truth != node &&
-      nodes_[truth].is_master(block)) {
-    nodes_[truth].demote_to_copy(block);
-    directory_.erase_master(block);
-  }
-  const NodeId home = home_of_(block.file);
-  ++stats_.disk_reads;
-  emit_fetch(node, BlockFetch{block, Source::kDiskRead, home, misdirected},
-             result);
-  make_room(node, result, slots);
-  nodes_[node].insert(block, /*master=*/true, clock_.next(), slots);
-  directory_.set_master(block, node);
-  if (config_.directory == DirectoryMode::kHinted) {
-    hints_.set_master(block, node, node);
-  }
-}
-
-AccessResult ClusterCache::write(NodeId node, FileId file,
-                                 std::uint64_t file_bytes) {
-  AccessResult result;
-  const std::uint32_t nblocks = blocks_for(file_bytes, config_.block_bytes);
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    write_block(node, BlockId{file, i}, result);
-  }
-  if (access_tap_) access_tap_(node, result);
-  return result;
-}
-
-void ClusterCache::write_block(NodeId node, const BlockId& block,
-                               AccessResult& result) {
-  write_block_impl(node, block, result);
-  CCM_AUDIT_HOOK(audit("write_block"));
-}
-
-void ClusterCache::write_block_impl(NodeId node, const BlockId& block,
-                                    AccessResult& result) {
-  assert(node < nodes_.size());
-  ++stats_.writes;
-
-  // Invalidate every non-master copy held by peers. A stale copy at the
-  // writer itself is not dropped — it gets promoted to master below.
-  for (std::size_t p = 0; p < nodes_.size(); ++p) {
-    NodeCache& peer = nodes_[p];
-    if (p != node && peer.contains(block) && !peer.is_master(block)) {
-      drop_block(static_cast<NodeId>(p), block, result);
-      ++stats_.invalidations;
-    }
-  }
-
-  const NodeId holder = directory_.lookup(block);
-  if (holder == node) {
-    // Already the exclusive owner: refresh recency.
-    nodes_[node].touch(block, clock_.next());
-    return;
-  }
-
-  if (holder != kInvalidNode) {
-    // Ownership migration: the master (with its current bytes, in data-plane
-    // implementations) moves to the writer. Modeled as an accepted forward
-    // so observers move the data; the writer's own stale copy, if any, is
-    // promoted in place.
-    ++stats_.ownership_migrations;
-    NodeCache& old_holder = nodes_[holder];
-    old_holder.erase(block);
-    NodeCache& mine = nodes_[node];
-    if (mine.contains(block)) {
-      assert(!mine.is_master(block));
-      mine.promote_to_master(block);
-      mine.touch(block, clock_.next());
-    } else {
-      make_room(node, result);
-      mine.insert(block, /*master=*/true, clock_.next());
-    }
-    directory_.set_master(block, node);
-    if (config_.directory == DirectoryMode::kHinted) {
-      hints_.set_master(block, node, node);
-    }
-    emit_forward(Forward{block, holder, node, true}, result);
-    return;
-  }
-
-  // Uncached anywhere: write-allocate a master at the writer. No disk read
-  // is modeled — the caller provides the bytes.
-  if (nodes_[node].contains(block)) {
-    // The writer held the last copy with no master on record (possible in
-    // hinted mode after a master loss): promote it.
-    nodes_[node].promote_to_master(block);
-    nodes_[node].touch(block, clock_.next());
-    directory_.set_master(block, node);
-    if (config_.directory == DirectoryMode::kHinted) {
-      hints_.set_master(block, node, node);
-    }
-    return;
-  }
-  make_room(node, result);
-  install_master(node, block, clock_.next());
-}
-
-AccessResult ClusterCache::invalidate_file(FileId file,
-                                           std::uint64_t file_bytes) {
-  AccessResult result;
-  const std::uint32_t nblocks =
-      config_.whole_file ? 1 : blocks_for(file_bytes, config_.block_bytes);
-  for (std::uint32_t i = 0; i < nblocks; ++i) {
-    const BlockId block{file, i};
-    for (std::size_t p = 0; p < nodes_.size(); ++p) {
-      if (nodes_[p].contains(block)) {
-        drop_block(static_cast<NodeId>(p), block, result);
-        ++stats_.invalidations;
-      }
-    }
-  }
-  CCM_AUDIT_HOOK(audit("invalidate_file"));
-  return result;
-}
-
-void ClusterCache::make_room(NodeId node, AccessResult& result,
-                             std::uint32_t slots) {
-  while (nodes_[node].lacks_room_for(slots) && !nodes_[node].empty()) {
-    evict_one(node, result);
-  }
-}
-
-void ClusterCache::evict_one(NodeId node, AccessResult& result) {
-  NodeCache& cache = nodes_[node];
-  assert(!cache.empty());
-
-  if (config_.policy == Policy::kNeverEvictMaster) {
-    // CC-NEM: while any non-master copy remains, evict the oldest copy and
-    // leave every master in place.
-    if (const auto copy = cache.oldest_copy()) {
-      drop_block(node, copy->block, result);
-      return;
-    }
-  }
-  evict_global_lru(node, result);
-}
-
-void ClusterCache::evict_global_lru(NodeId node, AccessResult& result) {
-  NodeCache& cache = nodes_[node];
-  const auto oldest = cache.oldest();
-  assert(oldest.has_value());
-
-  if (!cache.is_master(oldest->block)) {
-    drop_block(node, oldest->block, result);
-    return;
-  }
-  // Master: second chance — forward unless it is the globally oldest block.
-  if (holds_globally_oldest(node)) {
-    drop_block(node, oldest->block, result);
-    return;
-  }
-  forward_master(node, *oldest, result);
-}
-
-bool ClusterCache::holds_globally_oldest(NodeId node) const {
-  const auto mine = nodes_[node].oldest_age();
-  assert(mine.has_value());
-  for (std::size_t p = 0; p < nodes_.size(); ++p) {
-    if (p == node) continue;
-    const auto theirs = nodes_[p].oldest_age();
-    if (theirs.has_value() && *theirs < *mine) return false;
-  }
-  return true;
-}
-
-NodeId ClusterCache::pick_forward_target(NodeId from) const {
-  NodeId best = kInvalidNode;
-  std::uint64_t best_age = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t p = 0; p < nodes_.size(); ++p) {
-    if (p == from) continue;
-    const NodeCache& peer = nodes_[p];
-    if (!peer.full()) return static_cast<NodeId>(p);  // free space wins
-    const auto age = peer.oldest_age();
-    if (age.has_value() && *age < best_age) {
-      best_age = *age;
-      best = static_cast<NodeId>(p);
-    }
-  }
-  return best;
-}
-
-void ClusterCache::forward_master(NodeId from, const LruList::Entry& entry,
-                                  AccessResult& result) {
-  ++stats_.forwards_attempted;
-  NodeCache& source = nodes_[from];
-  const std::uint32_t slots = source.slots_of(entry.block);
-  source.erase(entry.block);
-
-  const NodeId to = pick_forward_target(from);
-  if (to == kInvalidNode) {
-    // Single-node cluster: nothing to forward to; the master is lost.
-    directory_.erase_master(entry.block);
-    if (config_.directory == DirectoryMode::kHinted) {
-      hints_.erase_master(entry.block, from);
-    }
-    ++stats_.master_drops;
-    emit_forward(Forward{entry.block, from, to, false}, result);
-    emit_drop(Drop{entry.block, from, true}, result);
-    return;
-  }
-
-  NodeCache& dest = nodes_[to];
-  // If the destination already holds a non-master copy of this block, the
-  // copy simply becomes the master (no extra memory is needed and no block
-  // is dropped). The copy keeps its own — younger — age.
-  if (dest.contains(entry.block)) {
-    assert(!dest.is_master(entry.block));
-    dest.promote_to_master(entry.block);
-    directory_.set_master(entry.block, to);
-    if (config_.directory == DirectoryMode::kHinted) {
-      hints_.set_master(entry.block, to, from);
-    }
-    ++stats_.forwards_accepted;
-    emit_forward(Forward{entry.block, from, to, true}, result);
-    return;
-  }
-  // The receiver makes room by dropping its own oldest block — never by
-  // forwarding again (property: no cascaded evictions).
-  while (dest.lacks_room_for(slots) && !dest.empty()) {
-    const auto victim = dest.oldest();
-    assert(victim.has_value());
-    drop_block(to, victim->block, result);
-  }
-  // If everything left at the destination is younger than the forwarded
-  // block, it would immediately become the eviction candidate: drop it.
-  const auto dest_oldest = dest.oldest_age();
-  if (dest_oldest.has_value() && *dest_oldest > entry.age) {
-    directory_.erase_master(entry.block);
-    if (config_.directory == DirectoryMode::kHinted) {
-      hints_.erase_master(entry.block, from);
-    }
-    ++stats_.master_drops;
-    emit_forward(Forward{entry.block, from, to, false}, result);
-    emit_drop(Drop{entry.block, from, true}, result);
-    return;
-  }
-
-  dest.insert(entry.block, /*master=*/true, entry.age, slots);  // keeps age
-  directory_.set_master(entry.block, to);
-  if (config_.directory == DirectoryMode::kHinted) {
-    hints_.set_master(entry.block, to, from);
-  }
-  ++stats_.forwards_accepted;
-  emit_forward(Forward{entry.block, from, to, true}, result);
-}
-
-void ClusterCache::emit_fetch(NodeId requester, const BlockFetch& fetch,
-                              AccessResult& result) {
-  result.fetches.push_back(fetch);
-  if (observer_) observer_->on_fetch(requester, fetch);
-}
-
-void ClusterCache::emit_drop(const Drop& drop, AccessResult& result) {
-  result.drops.push_back(drop);
-  if (observer_) observer_->on_drop(drop);
-}
-
-void ClusterCache::emit_forward(const Forward& forward, AccessResult& result) {
-  result.forwards.push_back(forward);
-  if (observer_) observer_->on_forward(forward);
-}
-
-void ClusterCache::drop_block(NodeId node, const BlockId& block,
-                              AccessResult& result) {
-  const bool was_master = nodes_[node].erase(block);
-  if (was_master) {
-    directory_.erase_master(block);
-    if (config_.directory == DirectoryMode::kHinted) {
-      hints_.erase_master(block, node);
-    }
-    ++stats_.master_drops;
-  } else {
-    ++stats_.copy_drops;
-  }
-  emit_drop(Drop{block, node, was_master}, result);
-}
-
-void ClusterCache::install_master(NodeId node, const BlockId& block,
-                                  std::uint64_t age) {
-  nodes_[node].insert(block, /*master=*/true, age);
-  directory_.set_master(block, node);
-  if (config_.directory == DirectoryMode::kHinted) {
-    hints_.set_master(block, node, node);
-  }
-}
-
-double ClusterCache::hint_accuracy() const { return hints_.accuracy(); }
-
-std::size_t ClusterCache::audit(const char* context) const {
-  std::size_t ccm_audit_failures = 0;
-  const std::string ctx = std::string(" [") + context + "]";
-  for (std::size_t n = 0; n < nodes_.size(); ++n) {
-    const NodeCache& cache = nodes_[n];
-    // A single entry wider than the whole capacity is admitted degenerately
-    // (whole-file mode); anything else is a real overflow.
-    CCM_AUDIT(cache.used_blocks() <= cache.capacity_blocks() ||
-                  cache.entry_count() <= 1,
-              "cache-occupancy",
-              "node " + std::to_string(n) + " uses " +
-                  std::to_string(cache.used_blocks()) + " of " +
-                  std::to_string(cache.capacity_blocks()) + " blocks" + ctx);
-    // Every cached master must be in the directory, pointing here; in hinted
-    // mode the hint layer's authoritative view must agree with the directory.
-    for (const auto& e : cache.masters()) {
-      CCM_AUDIT(directory_.lookup(e.block) == static_cast<NodeId>(n),
-                "cache-master-registered",
-                "master of file " + std::to_string(e.block.file) + " block " +
-                    std::to_string(e.block.index) + " cached at node " +
-                    std::to_string(n) + " but directory says node " +
-                    std::to_string(directory_.lookup(e.block)) + ctx);
-      if (config_.directory == DirectoryMode::kHinted) {
-        CCM_AUDIT(hints_.truth(e.block) == static_cast<NodeId>(n),
-                  "cache-hint-truth",
-                  "hint truth for file " + std::to_string(e.block.file) +
-                      " block " + std::to_string(e.block.index) + " is node " +
-                      std::to_string(hints_.truth(e.block)) +
-                      " but the master is cached at node " +
-                      std::to_string(n) + ctx);
-      }
-    }
-    // Slot accounting must agree with the entry books.
-    std::uint64_t slots = 0;
-    for (const auto& e : cache.masters()) slots += cache.slots_of(e.block);
-    for (const auto& e : cache.copies()) slots += cache.slots_of(e.block);
-    CCM_AUDIT(slots == cache.used_blocks(), "cache-slot-accounting",
-              "node " + std::to_string(n) + " books " +
-                  std::to_string(cache.used_blocks()) +
-                  " used blocks but entries cover " + std::to_string(slots) +
-                  ctx);
-  }
-  // Every cached master points at its own directory entry (checked above);
-  // equal counts then make that correspondence a bijection, which rules out
-  // duplicate masters and dangling directory entries — i.e. at most one
-  // master copy per block cluster-wide.
-  std::size_t cached_masters = 0;
-  for (const auto& cache : nodes_) cached_masters += cache.master_count();
-  CCM_AUDIT(directory_.size() == cached_masters, "cache-single-master",
-            "directory tracks " + std::to_string(directory_.size()) +
-                " masters but nodes cache " + std::to_string(cached_masters) +
-                ctx);
-  if (config_.directory == DirectoryMode::kHinted) {
-    ccm_audit_failures += hints_.audit(context);
-  }
-  return ccm_audit_failures;
-}
-
-bool ClusterCache::check_invariants() const {
-  return audit("check_invariants") == 0;
 }
 
 }  // namespace coop::cache

@@ -1,12 +1,10 @@
-// The paper's block-based cooperative caching algorithm (§3).
-//
-// ClusterCache is a *pure policy engine*: it tracks which node caches which
-// block (master or non-master copy), decides where each block of an access
-// comes from (local memory, a peer's memory, or a home node's disk), and
-// carries out the replacement algorithm including master-block forwarding.
-// It performs no I/O and knows nothing about time; callers — the event-driven
-// simulator in src/server and the threaded middleware in src/ccm — execute
-// and charge the actions it reports.
+// The vocabulary of the paper's block-based cooperative caching algorithm
+// (§3): its configuration, the actions one access produces, and the policy
+// counters. The algorithm itself runs in src/proto — proto::NodeState holds
+// one node's transitions, proto::DirectoryService the master directory — and
+// both the simulator (proto::ClusterCache, a serial driver) and the threaded
+// runtime (ccm::CcmCluster) execute those same transitions and charge the
+// actions they report.
 //
 // Algorithm summary (from the paper):
 //  * The first in-memory copy of a block (read from its home node's disk) is
@@ -25,13 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
-#include "cache/directory.hpp"
-#include "cache/node_cache.hpp"
 #include "cache/types.hpp"
-#include "util/audit.hpp"
 
 namespace coop::cache {
 
@@ -93,21 +87,6 @@ struct AccessResult {
   std::vector<Drop> drops;
 };
 
-/// Receives every policy action *in the order it happens* during an access.
-/// AccessResult loses the interleaving between fetches, drops, and forwards;
-/// data-plane implementations (the threaded middleware) need the exact order
-/// to keep byte stores consistent with the policy metadata.
-class ActionObserver {
- public:
-  virtual ~ActionObserver() = default;
-  /// `requester` is the node performing the access.
-  virtual void on_fetch(NodeId requester, const BlockFetch& fetch) = 0;
-  virtual void on_drop(const Drop& drop) = 0;
-  /// For accepted forwards the destination may already hold a non-master
-  /// copy (promotion); implementations must tolerate both cases.
-  virtual void on_forward(const Forward& forward) = 0;
-};
-
 /// Aggregate policy statistics.
 struct CacheStats {
   std::uint64_t local_hits = 0;
@@ -123,125 +102,15 @@ struct CacheStats {
   std::uint64_t invalidations = 0;
   std::uint64_t ownership_migrations = 0;
 
+  /// Adds every counter of `o` (summing per-node slices).
+  CacheStats& operator+=(const CacheStats& o);
+
   [[nodiscard]] std::uint64_t block_accesses() const {
     return local_hits + remote_hits + disk_reads;
   }
   [[nodiscard]] double local_hit_rate() const;
   [[nodiscard]] double remote_hit_rate() const;
   [[nodiscard]] double global_hit_rate() const;
-};
-
-class ClusterCache {
- public:
-  /// `home_of` maps a file to the node whose disk stores it ("the general
-  /// case of files being distributed across all nodes", §3); defaults to
-  /// file-id modulo node count.
-  ClusterCache(const CoopCacheConfig& config,
-               std::function<NodeId(FileId)> home_of = {});
-
-  /// Accesses all blocks of `file` (of size `file_bytes`) at `node`,
-  /// applying cache-state transitions and reporting the resulting actions.
-  AccessResult access(NodeId node, FileId file, std::uint64_t file_bytes);
-
-  /// Accesses a single cache entry; appends actions to `result`. `slots` is
-  /// the entry's block-slot footprint (1 in block mode; the file's block
-  /// count in whole-file mode).
-  void access_block(NodeId node, const BlockId& block, AccessResult& result,
-                    std::uint32_t slots = 1);
-
-  /// Write-protocol extension (§6 future work): makes `node` the exclusive
-  /// in-memory owner of `block`. Every non-master copy in the cluster is
-  /// invalidated (dropped); a master held elsewhere migrates to `node` (an
-  /// accepted Forward action carries the current bytes along in data-plane
-  /// implementations); if the block is uncached, a master slot is allocated
-  /// at `node` without a disk read (write-allocate). Postconditions: `node`
-  /// is the master holder and holds the only in-memory instance.
-  void write_block(NodeId node, const BlockId& block, AccessResult& result);
-
-  /// Writes all blocks of `file` (of size `file_bytes`) at `node`.
-  AccessResult write(NodeId node, FileId file, std::uint64_t file_bytes);
-
-  /// Drops every cached block of `file` (masters and copies) cluster-wide.
-  /// Used when content changes outside the caching layer. `file_bytes`
-  /// bounds the block scan.
-  AccessResult invalidate_file(FileId file, std::uint64_t file_bytes);
-
-  [[nodiscard]] const CoopCacheConfig& config() const { return config_; }
-  [[nodiscard]] NodeId home_of(FileId file) const { return home_of_(file); }
-  [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
-  [[nodiscard]] const NodeCache& node(NodeId n) const { return nodes_[n]; }
-  [[nodiscard]] const PerfectDirectory& directory() const { return directory_; }
-  [[nodiscard]] const CacheStats& stats() const { return stats_; }
-  void reset_stats() { stats_ = CacheStats{}; }
-
-  /// Hinted mode only: observed hint accuracy (paper cites ~98% for [18]).
-  [[nodiscard]] double hint_accuracy() const;
-
-  /// Installs (or clears, with nullptr) the in-order action observer. Not
-  /// owned; must outlive the ClusterCache or be cleared first.
-  void set_observer(ActionObserver* observer) { observer_ = observer; }
-
-  /// Observation tap fired once per access()/write() with the requesting
-  /// node and the completed plan. Unlike ActionObserver it sees only the
-  /// aggregate result — enough for hit/miss timelines — and may be installed
-  /// without touching the data plane. Empty function clears it.
-  using AccessTap = std::function<void(NodeId node, const AccessResult& plan)>;
-  void set_access_tap(AccessTap tap) { access_tap_ = std::move(tap); }
-
-  /// Sweeps every cross-node protocol invariant (see DESIGN.md and
-  /// docs/STATIC_ANALYSIS.md), reporting each violation through coop::audit
-  /// with `context` in the detail string. Returns the number of violations
-  /// (0 = healthy). Always compiled; audited builds (CCM_AUDIT_ENABLED) also
-  /// run it automatically after every protocol event.
-  std::size_t audit(const char* context) const;
-
-  /// Convenience wrapper: audit("check_invariants") == 0.
-  [[nodiscard]] bool check_invariants() const;
-
- private:
-  friend struct ClusterCacheTestPeer;  // test-only state corruption (audit tests)
-
-  /// Bodies of access_block/write_block; the public wrappers add the
-  /// per-event audit hook in CCM_AUDIT builds.
-  void access_block_impl(NodeId node, const BlockId& block,
-                         AccessResult& result, std::uint32_t slots = 1);
-  void write_block_impl(NodeId node, const BlockId& block,
-                        AccessResult& result);
-  /// Frees one entry's worth of space at `node` per the configured policy.
-  void evict_one(NodeId node, AccessResult& result);
-  /// Ensures at least `slots` free block slots at `node`.
-  void make_room(NodeId node, AccessResult& result, std::uint32_t slots = 1);
-  /// Evicts the oldest local block with the CC-Basic rules (also the
-  /// master-only path of CC-NEM).
-  void evict_global_lru(NodeId node, AccessResult& result);
-  /// Forwards an evicted master to the peer with the oldest block.
-  void forward_master(NodeId from, const LruList::Entry& entry,
-                      AccessResult& result);
-  /// True if `node`'s oldest block is the oldest block in the whole cluster.
-  [[nodiscard]] bool holds_globally_oldest(NodeId node) const;
-  /// Peer that should receive a forwarded master: a peer with free space if
-  /// any, otherwise the peer holding the oldest block. kInvalidNode if the
-  /// cluster has a single node.
-  [[nodiscard]] NodeId pick_forward_target(NodeId from) const;
-
-  void drop_block(NodeId node, const BlockId& block, AccessResult& result);
-  void install_master(NodeId node, const BlockId& block, std::uint64_t age);
-
-  /// Appends to `result` and notifies the observer.
-  void emit_fetch(NodeId requester, const BlockFetch& fetch,
-                  AccessResult& result);
-  void emit_drop(const Drop& drop, AccessResult& result);
-  void emit_forward(const Forward& forward, AccessResult& result);
-
-  CoopCacheConfig config_;
-  std::function<NodeId(FileId)> home_of_;
-  ActionObserver* observer_ = nullptr;
-  AccessTap access_tap_;
-  std::vector<NodeCache> nodes_;
-  PerfectDirectory directory_;
-  HintedDirectory hints_;
-  LogicalClock clock_;
-  CacheStats stats_;
 };
 
 }  // namespace coop::cache

@@ -9,6 +9,7 @@
 #include <string>
 #include <utility>
 
+#include "proto/cache_audit.hpp"
 #include "util/audit.hpp"
 #include "util/mutex.hpp"
 
@@ -1372,17 +1373,7 @@ CcmStats CcmCluster::stats() const {
     if (!shards_[n]) continue;  // hosted by another process
     const Shard& sh = *shards_[n];
     util::ScopedLock lock(sh.mu);
-    const cache::CacheStats& slice = sh.state.stats();
-    s.local_hits += slice.local_hits;
-    s.remote_hits += slice.remote_hits;
-    s.disk_reads += slice.disk_reads;
-    s.forwards_attempted += slice.forwards_attempted;
-    s.forwards_accepted += slice.forwards_accepted;
-    s.master_drops += slice.master_drops;
-    s.copy_drops += slice.copy_drops;
-    s.invalidations += slice.invalidations;
-    s.writes += slice.writes;
-    s.ownership_migrations += slice.ownership_migrations;
+    s += sh.state.stats();
     auto& out = s.shards[n];
     out.lock_acquired = sh.mu.acquired();
     out.lock_contended = sh.mu.contended();
@@ -1501,66 +1492,25 @@ std::size_t CcmCluster::audit_shard_locked(const Shard& sh,
                   std::to_string(block.file) + " block " +
                   std::to_string(block.index) + ctx);
   }
-  CCM_AUDIT(cache.used_blocks() <= cache.capacity_blocks() ||
-                cache.entry_count() <= 1,
-            "cache-occupancy",
-            "node " + std::to_string(node) + " uses " +
-                std::to_string(cache.used_blocks()) + " of " +
-                std::to_string(cache.capacity_blocks()) + " blocks" + ctx);
-  std::uint64_t slots = 0;
-  for (const auto& e : cache.masters()) slots += cache.slots_of(e.block);
-  for (const auto& e : cache.copies()) slots += cache.slots_of(e.block);
-  CCM_AUDIT(slots == cache.used_blocks(), "cache-slot-accounting",
-            "node " + std::to_string(node) + " books " +
-                std::to_string(cache.used_blocks()) +
-                " used blocks but entries cover " + std::to_string(slots) +
-                ctx);
+  ccm_audit_failures += proto::audit_node_cache(cache, node, ctx);
   return ccm_audit_failures;
 }
 
 std::size_t CcmCluster::audit_all_locked(const char* context) const {
-  std::size_t ccm_audit_failures = 0;
-  const std::string ctx = std::string(" [") + context + "]";
+  std::size_t failures = 0;
+  std::vector<const proto::NodeState*> hosted;
+  hosted.reserve(local_nodes_.size());
   for (const cache::NodeId n : local_nodes_) {
-    ccm_audit_failures += audit_shard_locked(*shards_[n], n, context);
-    // Cross-shard: every cached master must be registered in the directory,
-    // pointing here; in hinted mode the hint layer's authoritative view must
-    // agree with the directory.
-    const cache::NodeCache& cache = shards_[n]->state.cache();
-    for (const auto& e : cache.masters()) {
-      CCM_AUDIT(dir_->lookup(e.block) == n, "cache-master-registered",
-                "master of file " + std::to_string(e.block.file) + " block " +
-                    std::to_string(e.block.index) + " cached at node " +
-                    std::to_string(n) + " but directory says node " +
-                    std::to_string(dir_->lookup(e.block)) + ctx);
-      if (config_.directory == cache::DirectoryMode::kHinted && all_local_) {
-        CCM_AUDIT(dir_->hint_truth(e.block) == n, "cache-hint-truth",
-                  "hint truth for file " + std::to_string(e.block.file) +
-                      " block " + std::to_string(e.block.index) +
-                      " is node " +
-                      std::to_string(dir_->hint_truth(e.block)) +
-                      " but the master is cached at node " +
-                      std::to_string(n) + ctx);
-      }
-    }
+    failures += audit_shard_locked(*shards_[n], n, context);
+    hosted.push_back(&shards_[n]->state);
   }
-  // Every cached master points at its own directory entry (checked above);
-  // equal counts then make that correspondence a bijection, which rules out
-  // duplicate masters and dangling directory entries — i.e. at most one
-  // master copy per block cluster-wide. Only checkable when this process
-  // can see every shard.
-  if (all_local_) {
-    std::size_t cached_masters = 0;
-    for (const auto& sh : shards_) {
-      cached_masters += sh->state.cache().master_count();
-    }
-    CCM_AUDIT(dir_->master_count() == cached_masters, "cache-single-master",
-              "directory tracks " + std::to_string(dir_->master_count()) +
-                  " masters but nodes cache " +
-                  std::to_string(cached_masters) + ctx);
-  }
-  ccm_audit_failures += dir_->audit(context);
-  return ccm_audit_failures;
+  // The hint-truth and single-master rules need every shard: only checkable
+  // when this process hosts them all.
+  return failures +
+         proto::audit_cross_node(
+             hosted, *dir_,
+             config_.directory == cache::DirectoryMode::kHinted, all_local_,
+             context);
 }
 
 std::size_t CcmCluster::audit(const char* context) const {

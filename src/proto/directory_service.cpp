@@ -20,9 +20,11 @@ DirectoryService::ReadLookup DirectoryService::lookup_for_read_locked(
   const std::uint64_t epoch = file_epoch_locked(b.file);
   if (mode_ == cache::DirectoryMode::kPerfect) return {truth, false, epoch};
 
-  // Hinted mode (ClusterCache::access_block_impl's hint logic, verbatim):
-  // a missing or wrong hint costs an extra round trip, after which the
-  // request is chained to the true holder and the hint refreshed.
+  // Hinted mode: a missing or wrong hint costs an extra round trip, after
+  // which the request is chained to the true holder and the hint refreshed.
+  // A missing hint goes to the file's home node, which — like the server in
+  // Sarkar & Hartman's scheme — knows the master location and chains the
+  // request there; it costs a hop only if a master exists.
   const NodeId hinted = hints_.lookup(node, b);
   bool misdirected = false;
   if (hinted == cache::kInvalidNode) {

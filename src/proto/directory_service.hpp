@@ -64,8 +64,8 @@ class DirectoryService {
   };
 
   /// Where `node` should fetch `b` from. In perfect mode this is the truth;
-  /// in hinted mode it is the node's (refreshed-on-miss) belief, with
-  /// misdirections counted exactly as cache::ClusterCache counts them.
+  /// in hinted mode a missing or wrong hint is counted as a misdirection
+  /// (an extra round trip) and refreshed, and the true holder is returned.
   ReadLookup lookup_for_read(NodeId node, const BlockId& b);
 
   /// Authoritative master holder (kInvalidNode if none).
@@ -189,6 +189,9 @@ class DirectoryService {
   bool try_claim_locked(const BlockId& b, NodeId node) REQUIRES(mu_);
   void master_dropped_locked(const BlockId& b, NodeId node) REQUIRES(mu_);
   std::uint64_t file_epoch_locked(FileId file) const REQUIRES(mu_);
+
+  // Test-only state corruption (audit tests).
+  friend struct ClusterCacheTestPeer;
 
   mutable util::Mutex mu_{"proto.directory"};
   cache::DirectoryMode mode_;  // immutable after construction

@@ -1,6 +1,8 @@
 // Per-node protocol state machine: one node's slice of the cooperative
-// caching policy, factored out of the monolithic cache::ClusterCache so a
-// sharded runtime can run each node's transitions under its own lock.
+// caching policy. It is the only implementation of the replacement
+// algorithm: the simulator's serial driver (proto::ClusterCache) and the
+// sharded runtime (ccm::CcmCluster, one lock per node) both run these
+// transitions.
 //
 // Division of labor:
 //  * NodeState owns this node's NodeCache (entry books, LRU ages), its slice
@@ -11,9 +13,9 @@
 //    the directory effects. That split is what lets transitions run under a
 //    single shard lock while cross-node traffic goes through messages.
 //
-// Every transition replicates cache::ClusterCache's semantics action for
-// action — tests/test_proto.cpp drives both against the same scripts and
-// requires identical outcomes, drops, and statistics.
+// tests/test_proto.cpp pins the outcomes of a fixed script — statistics,
+// per-node contents and the full action stream — as golden data recorded
+// from the simulator's original, separately written policy engine.
 #pragma once
 
 #include <atomic>
@@ -153,12 +155,15 @@ class NodeState {
   }
 
  private:
-  /// One eviction step (ClusterCache::evict_one): a drop, or the decision to
-  /// forward the oldest master.
+  /// One eviction step: a drop, or the decision to forward the oldest
+  /// master.
   [[nodiscard]] std::optional<PendingForward> evict_one(
       const PeerView& view, std::vector<cache::Drop>& drops);
 
   void drop_entry(const cache::BlockId& b, std::vector<cache::Drop>& drops);
+
+  // Test-only state corruption (audit tests).
+  friend struct ClusterCacheTestPeer;
 
   cache::NodeId id_;
   std::size_t cluster_nodes_;

@@ -1,12 +1,12 @@
 // Lowers a ClusterCache access plan (cache::AccessResult) into the wire
-// messages and bulk transfers it implies.
+// messages and bulk transfers the simulator charges for it.
 //
 // One TransferGroup per (kind, provider): the paper charges a control round
 // trip plus one bulk transfer per provider contacted, not per block, so the
 // grouping *is* the cost model. The simulator walks the groups in order,
 // charging each control message as a network control hop and each bulk
-// payload as a data transfer; tests replay the same plans against the
-// threaded runtime's live message counts to show both speak one protocol.
+// payload as a data transfer. The threaded runtime sends a different set of
+// kinds for the same transitions (docs/MIDDLEWARE.md).
 //
 // Determinism: groups are emitted in ascending provider order (the builder
 // groups through a std::map), so a plan lowers to the same message sequence

@@ -158,8 +158,9 @@ void CcmServer::execute_plan(NodeId node, cache::AccessResult plan,
 
   // Lower the policy actions to the CCM wire protocol: one transfer group
   // per provider, each with its control-message sequence and bulk payload.
-  // The simulator charges exactly these messages — the same vocabulary the
-  // threaded runtime transports (docs/MIDDLEWARE.md).
+  // The simulator charges exactly these messages. The threaded runtime runs
+  // the same policy transitions but sends a different set of kinds
+  // (docs/MIDDLEWARE.md has the kind-to-kind table).
   proto::PlanContext pctx;
   pctx.block_bytes = params_.block_bytes;
   pctx.whole_file = whole_file;

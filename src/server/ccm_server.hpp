@@ -12,9 +12,9 @@
 #include <memory>
 #include <vector>
 
-#include "cache/coop_cache.hpp"
 #include "hw/network.hpp"
 #include "hw/node.hpp"
+#include "proto/cluster_cache.hpp"
 #include "proto/plan.hpp"
 #include "server/server.hpp"
 
@@ -58,7 +58,7 @@ class CcmServer final : public Server {
     return cache_.stats().hint_misdirects;
   }
 
-  [[nodiscard]] const cache::ClusterCache& cache() const { return cache_; }
+  [[nodiscard]] const proto::ClusterCache& cache() const { return cache_; }
 
  private:
   /// Executes fetches/forwards of `plan`; `on_all_blocks` fires when every
@@ -83,7 +83,7 @@ class CcmServer final : public Server {
   std::vector<std::unique_ptr<hw::Node>>& nodes_;
   const trace::FileSet& files_;
   hw::ModelParams params_;
-  cache::ClusterCache cache_;
+  proto::ClusterCache cache_;
   obs::Timeline* timeline_ = nullptr;
 };
 

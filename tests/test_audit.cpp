@@ -14,19 +14,33 @@
 #include "cache/whole_file_cache.hpp"
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
+#include "proto/cluster_cache.hpp"
 #include "server/l2s_server.hpp"
 #include "sim/engine.hpp"
 #include "util/audit.hpp"
 
-namespace coop::cache {
+namespace coop::proto {
 
 struct ClusterCacheTestPeer {
-  static std::vector<NodeCache>& nodes(ClusterCache& cc) { return cc.nodes_; }
-  static PerfectDirectory& directory(ClusterCache& cc) {
-    return cc.directory_;
+  /// Indexable view of the per-node books inside the driver's NodeStates.
+  struct Nodes {
+    ClusterCache& cc;
+    cache::NodeCache& operator[](std::size_t n) const {
+      return cc.nodes_[n]->cache_;
+    }
+  };
+  static Nodes nodes(ClusterCache& cc) { return {cc}; }
+  static cache::PerfectDirectory& directory(ClusterCache& cc) {
+    return cc.dir_.map_;
   }
-  static HintedDirectory& hints(ClusterCache& cc) { return cc.hints_; }
+  static cache::HintedDirectory& hints(ClusterCache& cc) {
+    return cc.dir_.hints_;
+  }
 };
+
+}  // namespace coop::proto
+
+namespace coop::cache {
 
 struct HintedDirectoryTestPeer {
   static auto& truth(HintedDirectory& d) { return d.truth_; }
@@ -66,6 +80,8 @@ namespace coop::cache {
 namespace {
 
 using audit_ns = coop::audit::Recorder;
+using proto::ClusterCache;
+using proto::ClusterCacheTestPeer;
 
 constexpr std::uint32_t kBlock = 8 * 1024;
 

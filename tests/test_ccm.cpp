@@ -13,6 +13,7 @@
 #include "ccm/cluster.hpp"
 #include "ccm/storage.hpp"
 #include "net/mailbox.hpp"
+#include "proto/cluster_cache.hpp"
 #include "sim/random.hpp"
 
 namespace coop::ccm {
@@ -414,7 +415,7 @@ TEST(CcmCluster, PolicyParityWithBareClusterCache) {
   cc.capacity_bytes = 16 * kBlock;
   cc.block_bytes = kBlock;
   cc.policy = mc.policy;
-  cache::ClusterCache bare(cc);
+  proto::ClusterCache bare(cc);
 
   sim::Rng rng(33);
   const sim::ZipfSampler zipf(40, 0.8);

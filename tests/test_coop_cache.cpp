@@ -1,15 +1,20 @@
-// Behavioral tests for ClusterCache: each rule from §3/§5 of the paper gets a
-// deterministic micro-scenario, and parameterized random sweeps check the
-// cross-node invariants after every access.
+// Behavioral tests for the simulator's policy engine (proto::ClusterCache,
+// the serial driver over proto::NodeState + proto::DirectoryService): each
+// rule from §3/§5 of the paper gets a deterministic micro-scenario, and
+// parameterized random sweeps check the cross-node invariants after every
+// access.
 #include <gtest/gtest.h>
 
 #include <tuple>
 
 #include "cache/coop_cache.hpp"
+#include "proto/cluster_cache.hpp"
 #include "sim/random.hpp"
 
 namespace coop::cache {
 namespace {
+
+using proto::ClusterCache;
 
 constexpr std::uint32_t kBlock = 8 * 1024;
 
@@ -481,126 +486,6 @@ TEST(CoopCacheWholeFile, InvariantsUnderRandomWorkload) {
     }
   }
   ASSERT_TRUE(cc.check_invariants());
-}
-
-// ----------------------------------------------- write protocol (§6 ext) ---
-
-TEST(CoopCacheWrite, WriteAllocateCreatesMaster) {
-  ClusterCache cc(small_config(4, 8, Policy::kNeverEvictMaster));
-  AccessResult r;
-  cc.write_block(1, BlockId{7, 0}, r);
-  EXPECT_TRUE(cc.node(1).is_master(BlockId{7, 0}));
-  EXPECT_EQ(cc.directory().lookup(BlockId{7, 0}), 1);
-  EXPECT_EQ(cc.stats().writes, 1u);
-  EXPECT_EQ(cc.stats().invalidations, 0u);
-  EXPECT_EQ(cc.stats().disk_reads, 0u);  // no disk read for write-allocate
-  EXPECT_TRUE(cc.check_invariants());
-}
-
-TEST(CoopCacheWrite, InvalidatesAllPeerCopies) {
-  ClusterCache cc(small_config(4, 8, Policy::kNeverEvictMaster));
-  touch_file(cc, 0, 5);  // master @0
-  touch_file(cc, 1, 5);  // copy @1
-  touch_file(cc, 2, 5);  // copy @2
-  AccessResult r;
-  cc.write_block(0, BlockId{5, 0}, r);  // owner writes
-  EXPECT_EQ(cc.stats().invalidations, 2u);
-  EXPECT_FALSE(cc.node(1).contains(BlockId{5, 0}));
-  EXPECT_FALSE(cc.node(2).contains(BlockId{5, 0}));
-  EXPECT_TRUE(cc.node(0).is_master(BlockId{5, 0}));
-  EXPECT_TRUE(cc.check_invariants());
-}
-
-TEST(CoopCacheWrite, OwnershipMigratesToWriter) {
-  ClusterCache cc(small_config(4, 8, Policy::kNeverEvictMaster));
-  touch_file(cc, 0, 5);  // master @0
-  AccessResult r;
-  cc.write_block(3, BlockId{5, 0}, r);
-  EXPECT_EQ(cc.stats().ownership_migrations, 1u);
-  EXPECT_FALSE(cc.node(0).contains(BlockId{5, 0}));
-  EXPECT_TRUE(cc.node(3).is_master(BlockId{5, 0}));
-  EXPECT_EQ(cc.directory().lookup(BlockId{5, 0}), 3);
-  // The migration is reported as an accepted forward (data moves with it).
-  ASSERT_EQ(r.forwards.size(), 1u);
-  EXPECT_EQ(r.forwards[0].from, 0);
-  EXPECT_EQ(r.forwards[0].to, 3);
-  EXPECT_TRUE(r.forwards[0].accepted);
-  EXPECT_TRUE(cc.check_invariants());
-}
-
-TEST(CoopCacheWrite, WriterCopyPromotedInPlace) {
-  ClusterCache cc(small_config(4, 8, Policy::kNeverEvictMaster));
-  touch_file(cc, 0, 5);  // master @0
-  touch_file(cc, 1, 5);  // copy @1
-  AccessResult r;
-  cc.write_block(1, BlockId{5, 0}, r);  // writer held a copy
-  EXPECT_TRUE(cc.node(1).is_master(BlockId{5, 0}));
-  EXPECT_FALSE(cc.node(0).contains(BlockId{5, 0}));
-  EXPECT_TRUE(cc.check_invariants());
-}
-
-TEST(CoopCacheWrite, RepeatedOwnerWriteIsCheap) {
-  ClusterCache cc(small_config(2, 8, Policy::kNeverEvictMaster));
-  AccessResult r;
-  cc.write_block(0, BlockId{9, 0}, r);
-  const auto migrations = cc.stats().ownership_migrations;
-  cc.write_block(0, BlockId{9, 0}, r);
-  cc.write_block(0, BlockId{9, 0}, r);
-  EXPECT_EQ(cc.stats().ownership_migrations, migrations);
-  EXPECT_EQ(cc.stats().writes, 3u);
-  EXPECT_TRUE(cc.check_invariants());
-}
-
-TEST(CoopCacheWrite, MultiBlockWriteOwnsEveryBlock) {
-  ClusterCache cc(small_config(2, 16, Policy::kNeverEvictMaster));
-  touch_file(cc, 1, 4, /*blocks=*/3);  // masters @1
-  const auto r = cc.write(0, 4, 3 * kBlock);
-  (void)r;
-  for (std::uint32_t i = 0; i < 3; ++i) {
-    EXPECT_TRUE(cc.node(0).is_master(BlockId{4, i}));
-    EXPECT_FALSE(cc.node(1).contains(BlockId{4, i}));
-  }
-  EXPECT_EQ(cc.stats().ownership_migrations, 3u);
-  EXPECT_TRUE(cc.check_invariants());
-}
-
-TEST(CoopCacheWrite, WritesUnderPressureKeepInvariants) {
-  ClusterCache cc(small_config(4, 4, Policy::kNeverEvictMaster));
-  sim::Rng rng(77);
-  for (int i = 0; i < 2000; ++i) {
-    const auto node = static_cast<NodeId>(rng.uniform_int(4));
-    const auto file = static_cast<FileId>(rng.uniform_int(40));
-    if (rng.uniform() < 0.3) {
-      AccessResult r;
-      cc.write_block(node, BlockId{file, 0}, r);
-    } else {
-      touch_file(cc, node, file);
-    }
-    if (i % 200 == 0) {
-      ASSERT_TRUE(cc.check_invariants()) << i;
-    }
-  }
-  EXPECT_TRUE(cc.check_invariants());
-  EXPECT_GT(cc.stats().writes, 0u);
-  EXPECT_GT(cc.stats().invalidations, 0u);
-}
-
-TEST(CoopCacheWrite, InvalidateFileDropsEverywhere) {
-  ClusterCache cc(small_config(3, 8, Policy::kNeverEvictMaster));
-  touch_file(cc, 0, 5, /*blocks=*/2);
-  touch_file(cc, 1, 5, /*blocks=*/2);  // copies at node 1
-  const auto r = cc.invalidate_file(5, 2 * kBlock);
-  EXPECT_EQ(r.drops.size(), 4u);  // 2 masters + 2 copies
-  for (NodeId n = 0; n < 3; ++n) {
-    EXPECT_FALSE(cc.node(n).contains(BlockId{5, 0}));
-    EXPECT_FALSE(cc.node(n).contains(BlockId{5, 1}));
-  }
-  EXPECT_EQ(cc.directory().lookup(BlockId{5, 0}), kInvalidNode);
-  EXPECT_EQ(cc.stats().invalidations, 4u);
-  EXPECT_TRUE(cc.check_invariants());
-  // Idempotent.
-  const auto r2 = cc.invalidate_file(5, 2 * kBlock);
-  EXPECT_TRUE(r2.drops.empty());
 }
 
 // -------------------------------------------- randomized property sweep ---

@@ -1,17 +1,18 @@
-// Protocol-layer tests: wire round-trips, plan lowering, and — the load-
-// bearing one — serial parity between the sharded building blocks
-// (proto::NodeState + proto::DirectoryService) and the monolithic
-// cache::ClusterCache policy engine. The runtime (ccm::CcmCluster) is these
-// pieces plus locks; if the pieces match the oracle action for action, the
-// runtime's policy decisions are ClusterCache's.
+// Protocol-layer tests: wire round-trips, plan lowering, directory
+// conditions, and — the load-bearing one — golden outcomes of the policy
+// building blocks (proto::NodeState + proto::DirectoryService) driven
+// serially by proto::ClusterCache. The runtime (ccm::CcmCluster) is these
+// same pieces plus locks, so the pinned outcomes are its policy decisions
+// too.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "cache/coop_cache.hpp"
+#include "proto/cluster_cache.hpp"
 #include "proto/dir_batch.hpp"
 #include "proto/directory_service.hpp"
 #include "proto/message.hpp"
@@ -380,213 +381,148 @@ TEST(ForwardTarget, GloballyOldestMasterGetsNoSecondChance) {
   EXPECT_FALSE(holds_globally_oldest(1, 10, 4, view));
 }
 
-// -------------------------------------------- NodeState vs ClusterCache ---
+// ------------------------------------------- golden policy outcomes ---
 
-/// Serial re-implementation of the runtime's orchestration over the shared
-/// protocol pieces: the same transitions CcmCluster runs under shard locks,
-/// minus the locks and messages. Drives NodeState + DirectoryService with
-/// the runtime's tick conventions (local hit 1 tick; remote hit 2 ticks —
-/// holder touch then requester insert; miss 1 tick; evictions/forwards tick
-/// nothing) so the outcome must equal ClusterCache on the same script.
-class SerialHarness {
- public:
-  explicit SerialHarness(const cache::CoopCacheConfig& config)
-      : config_(config),
-        dir_(config.nodes, config.directory, config.hint_staleness) {
-    for (std::size_t n = 0; n < config.nodes; ++n) {
-      nodes_.push_back(std::make_unique<NodeState>(
-          static_cast<cache::NodeId>(n), config));
-    }
-    view_.harness = this;
-  }
-
-  void access(cache::NodeId node, cache::FileId file,
-              std::uint64_t file_bytes) {
-    const std::uint32_t blocks =
-        cache::blocks_for(file_bytes, config_.block_bytes);
-    for (std::uint32_t i = 0; i < blocks; ++i) {
-      access_block(node, BlockId{file, i});
+/// FNV-1a over 64-bit words, fed the in-order action stream.
+struct Fnv1a {
+  std::uint64_t h = 0xcbf29ce484222325ull;
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xffu;
+      h *= 0x100000001b3ull;
     }
   }
-
-  [[nodiscard]] cache::CacheStats summed_stats() const {
-    cache::CacheStats total;
-    for (const auto& n : nodes_) {
-      const cache::CacheStats& s = n->stats();
-      total.local_hits += s.local_hits;
-      total.remote_hits += s.remote_hits;
-      total.disk_reads += s.disk_reads;
-      total.forwards_attempted += s.forwards_attempted;
-      total.forwards_accepted += s.forwards_accepted;
-      total.master_drops += s.master_drops;
-      total.copy_drops += s.copy_drops;
+  void add(const cache::AccessResult& r) {
+    add(r.fetches.size());
+    for (const auto& f : r.fetches) {
+      add(f.block.file);
+      add(f.block.index);
+      add(static_cast<std::uint64_t>(f.source));
+      add(f.provider);
+      add(f.misdirected);
     }
-    total.hint_misdirects = dir_.ops().hint_misdirects;
-    return total;
-  }
-
-  [[nodiscard]] const NodeState& node(cache::NodeId n) const {
-    return *nodes_[n];
-  }
-  [[nodiscard]] const DirectoryService& directory() const { return dir_; }
-
- private:
-  struct View final : PeerView {
-    const SerialHarness* harness = nullptr;
-    [[nodiscard]] std::uint64_t peer_oldest_age(
-        cache::NodeId n) const override {
-      return harness->nodes_[n]->published_oldest_age();
+    add(r.forwards.size());
+    for (const auto& f : r.forwards) {
+      add(f.block.file);
+      add(f.block.index);
+      add(f.from);
+      add(f.to);
+      add(f.accepted);
     }
-    [[nodiscard]] bool peer_full(cache::NodeId n) const override {
-      return harness->nodes_[n]->published_full();
-    }
-  };
-
-  std::uint64_t tick() { return ++clock_; }
-
-  void apply_drops(const std::vector<cache::Drop>& drops) {
-    for (const auto& d : drops) {
-      if (d.was_master) dir_.master_dropped(d.block, d.node);
+    add(r.drops.size());
+    for (const auto& d : r.drops) {
+      add(d.block.file);
+      add(d.block.index);
+      add(d.node);
+      add(d.was_master);
     }
   }
+};
 
-  void make_room(NodeState& st, std::uint32_t slots = 1) {
-    std::vector<cache::Drop> drops;
-    for (;;) {
-      drops.clear();
-      const auto pf = st.make_room(slots, view_, drops);
-      apply_drops(drops);
-      st.publish();
-      if (!pf) return;
-      forward(st, *pf);
-    }
-  }
+struct Golden {
+  cache::DirectoryMode directory;
+  bool whole_file;
+  /// local, remote, disk, forwards attempted/accepted, master/copy drops,
+  /// hint misdirects.
+  std::array<std::uint64_t, 8> stats;
+  /// Per node: used blocks, masters, copies.
+  std::array<std::array<std::uint64_t, 3>, 4> nodes;
+  std::uint64_t stream_hash;
+};
 
-  void forward(NodeState& st, const PendingForward& pf) {
-    const cache::NodeId to =
-        pick_forward_target(st.id(), nodes_.size(), view_);
-    if (to == cache::kInvalidNode) {
-      dir_.master_dropped(pf.block, st.id());
-      ++st.stats().master_drops;
-      return;
-    }
-    const auto epoch = dir_.begin_forward(pf.block, st.id());
-    ASSERT_TRUE(epoch.has_value()) << "serial forward cannot be superseded";
-    NodeState& dest = *nodes_[to];
-    std::vector<cache::Drop> dest_drops;
-    const ForwardOutcome outcome = dest.handle_forward(pf, dest_drops);
-    apply_drops(dest_drops);
-    bool accepted = false;
-    if (outcome != ForwardOutcome::kRejected &&
-        dir_.claim_forwarded(pf.block, to, st.id(), *epoch)) {
-      accepted = true;
-    } else if (outcome == ForwardOutcome::kAccepted) {
-      dest.erase_entry(pf.block);  // claim lost: undo the insert
-    } else if (outcome == ForwardOutcome::kPromoted) {
-      dest.demote_to_copy(pf.block);
-    }
-    dest.publish();
-    if (accepted) {
-      ++st.stats().forwards_accepted;
-    } else {
-      dir_.forward_rejected(pf.block, st.id());
-      ++st.stats().master_drops;
-    }
-  }
-
-  void access_block(cache::NodeId node, const BlockId& b) {
-    NodeState& st = *nodes_[node];
-    if (st.contains(b)) {
-      st.touch(b, tick());
-      ++st.stats().local_hits;
-      st.publish();
-      return;
-    }
-    const auto lk = dir_.lookup_for_read(node, b);
-    if (lk.master != cache::kInvalidNode && lk.master != node) {
-      NodeState& holder = *nodes_[lk.master];
-      ASSERT_TRUE(holder.is_master(b)) << "serial directory must be exact";
-      holder.touch(b, tick());
-      holder.publish();
-      ++st.stats().remote_hits;
-      make_room(st);
-      st.insert_copy(b, tick());
-      st.publish();
-      return;
-    }
-    make_room(st);
-    ASSERT_TRUE(dir_.try_claim(b, node)) << "serial claim cannot conflict";
-    ++st.stats().disk_reads;
-    st.insert_master(b, tick());
-    st.publish();
-  }
-
-  cache::CoopCacheConfig config_;
-  DirectoryService dir_;
-  std::vector<std::unique_ptr<NodeState>> nodes_;
-  View view_;
-  std::uint64_t clock_ = 0;
+/// Outcomes of the churn script below under the simulator's original policy
+/// engine — a separately written copy of the algorithm, before it became the
+/// serial driver over NodeState + DirectoryService — recorded at commit
+/// 4f22f59. The action stream hash covers every fetch (block, source,
+/// provider, misdirected), forward (block, from, to, accepted) and drop
+/// (block, node, was_master) in order.
+const Golden kBasicGolden[] = {
+    {cache::DirectoryMode::kPerfect, false,
+     {0, 583, 177, 97, 25, 158, 571, 0},
+     {{{8, 2, 6}, {8, 8, 0}, {8, 2, 6}, {7, 7, 0}}},
+     0xa147abe037394a01ull},
+    {cache::DirectoryMode::kPerfect, true,
+     {0, 111, 289, 41, 3, 279, 110, 0},
+     {{{6, 3, 1}, {8, 3, 0}, {7, 4, 0}, {0, 0, 0}}},
+     0x9b69081abcf20f21ull},
+    {cache::DirectoryMode::kHinted, false,
+     {0, 583, 177, 97, 25, 158, 571, 16},
+     {{{8, 2, 6}, {8, 8, 0}, {8, 2, 6}, {7, 7, 0}}},
+     0xdeae2235d64fa8c1ull},
+    {cache::DirectoryMode::kHinted, true,
+     {0, 111, 289, 41, 3, 279, 110, 0},
+     {{{6, 3, 1}, {8, 3, 0}, {7, 4, 0}, {0, 0, 0}}},
+     0x9b69081abcf20f21ull},
+};
+const Golden kNemGolden[] = {
+    {cache::DirectoryMode::kPerfect, false,
+     {266, 470, 24, 5, 5, 5, 468, 0},
+     {{{8, 7, 1}, {5, 5, 0}, {8, 7, 1}, {0, 0, 0}}},
+     0x3a6e0ac8c0cfa801ull},
+    {cache::DirectoryMode::kPerfect, true,
+     {112, 260, 28, 8, 4, 18, 257, 0},
+     {{{7, 4, 1}, {8, 3, 0}, {7, 2, 2}, {2, 1, 0}}},
+     0x11d5d91863bbe925ull},
+    {cache::DirectoryMode::kHinted, false,
+     {266, 470, 24, 5, 5, 5, 468, 14},
+     {{{8, 7, 1}, {5, 5, 0}, {8, 7, 1}, {0, 0, 0}}},
+     0x8e2db999d73c7b01ull},
+    {cache::DirectoryMode::kHinted, true,
+     {112, 260, 28, 8, 4, 18, 257, 7},
+     {{{7, 4, 1}, {8, 3, 0}, {7, 2, 2}, {2, 1, 0}}},
+     0x7a3da63a399b2244ull},
 };
 
 class ProtoParityParam : public testing::TestWithParam<cache::Policy> {};
 
 TEST_P(ProtoParityParam, SerialScriptMatchesClusterCacheOracle) {
-  cache::CoopCacheConfig config;
-  config.nodes = 4;
-  config.capacity_bytes = 8 * kBlock;  // tiny: constant eviction churn
-  config.block_bytes = kBlock;
-  config.policy = GetParam();
+  const auto& goldens = GetParam() == cache::Policy::kBasic ? kBasicGolden
+                                                            : kNemGolden;
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(testing::Message()
+                 << "hinted=" << (g.directory == cache::DirectoryMode::kHinted)
+                 << " whole_file=" << g.whole_file);
+    cache::CoopCacheConfig config;
+    config.nodes = 4;
+    config.capacity_bytes = 8 * kBlock;  // tiny: constant eviction churn
+    config.block_bytes = kBlock;
+    config.policy = GetParam();
+    config.directory = g.directory;
+    config.whole_file = g.whole_file;
 
-  const std::size_t kFiles = 10;
-  const auto file_bytes = [](cache::FileId f) -> std::uint64_t {
-    return (f % 3 + 1) * kBlock - (f % 2) * 700;
-  };
+    const std::size_t kFiles = 10;
+    const auto file_bytes = [](cache::FileId f) -> std::uint64_t {
+      return (f % 3 + 1) * kBlock - (f % 2) * 700;
+    };
 
-  cache::ClusterCache oracle(config);
-  SerialHarness harness(config);
-
-  // Deterministic churn script: enough accesses to exercise hits, misses,
-  // evictions, master forwards, promotions, and rejections on both sides.
-  for (int i = 0; i < 400; ++i) {
-    const auto node = static_cast<cache::NodeId>((7 * i + i * i) % 4);
-    const auto file = static_cast<cache::FileId>((13 * i + 5) % kFiles);
-    oracle.access(node, file, file_bytes(file));
-    harness.access(node, file, file_bytes(file));
-  }
-
-  // Identical statistics...
-  const cache::CacheStats& want = oracle.stats();
-  const cache::CacheStats got = harness.summed_stats();
-  EXPECT_EQ(got.local_hits, want.local_hits);
-  EXPECT_EQ(got.remote_hits, want.remote_hits);
-  EXPECT_EQ(got.disk_reads, want.disk_reads);
-  EXPECT_EQ(got.forwards_attempted, want.forwards_attempted);
-  EXPECT_EQ(got.forwards_accepted, want.forwards_accepted);
-  EXPECT_EQ(got.master_drops, want.master_drops);
-  EXPECT_EQ(got.copy_drops, want.copy_drops);
-
-  // ...and identical cache contents, mastership, and directory census.
-  std::size_t masters = 0;
-  for (cache::NodeId n = 0; n < 4; ++n) {
-    const cache::NodeCache& a = harness.node(n).cache();
-    const cache::NodeCache& b = oracle.node(n);
-    EXPECT_EQ(a.used_blocks(), b.used_blocks()) << "node " << n;
-    EXPECT_EQ(a.master_count(), b.master_count()) << "node " << n;
-    EXPECT_EQ(a.copy_count(), b.copy_count()) << "node " << n;
-    for (cache::FileId f = 0; f < kFiles; ++f) {
-      const std::uint32_t blocks =
-          cache::blocks_for(file_bytes(f), config.block_bytes);
-      for (std::uint32_t idx = 0; idx < blocks; ++idx) {
-        const BlockId b_id{f, idx};
-        EXPECT_EQ(a.contains(b_id), b.contains(b_id))
-            << "node " << n << " block " << f << "/" << idx;
-        EXPECT_EQ(a.is_master(b_id), b.is_master(b_id))
-            << "node " << n << " block " << f << "/" << idx;
-      }
+    // Deterministic churn script: enough accesses to exercise hits, misses,
+    // evictions, master forwards, promotions, and rejections.
+    ClusterCache cc(config);
+    Fnv1a stream;
+    for (int i = 0; i < 400; ++i) {
+      const auto node = static_cast<cache::NodeId>((7 * i + i * i) % 4);
+      const auto file = static_cast<cache::FileId>((13 * i + 5) % kFiles);
+      stream.add(cc.access(node, file, file_bytes(file)));
     }
-    masters += a.master_count();
+
+    const cache::CacheStats s = cc.stats();
+    const std::array<std::uint64_t, 8> got = {
+        s.local_hits,         s.remote_hits,       s.disk_reads,
+        s.forwards_attempted, s.forwards_accepted, s.master_drops,
+        s.copy_drops,         s.hint_misdirects};
+    EXPECT_EQ(got, g.stats);
+    std::size_t masters = 0;
+    for (cache::NodeId n = 0; n < 4; ++n) {
+      const cache::NodeCache& nc = cc.node(n);
+      const std::array<std::uint64_t, 3> books = {
+          nc.used_blocks(), nc.master_count(), nc.copy_count()};
+      EXPECT_EQ(books, g.nodes[n]) << "node " << n;
+      masters += nc.master_count();
+    }
+    EXPECT_EQ(stream.h, g.stream_hash);
+    EXPECT_EQ(cc.directory().master_count(), masters);
+    EXPECT_TRUE(cc.check_invariants());
   }
-  EXPECT_EQ(harness.directory().master_count(), masters);
 }
 
 INSTANTIATE_TEST_SUITE_P(Policies, ProtoParityParam,
