@@ -7,10 +7,10 @@
 //
 // The process hosting node 0 ("home") owns the backing BufferStorage, the
 // master DirectoryService, and the barrier service; every other process
-// mounts RemoteStorage / RemoteDirectory proxies that reach home over kDir*
-// and kStorage* RPCs. Driver threads are partitioned by id (driver d runs in
-// process d % nodes) and pin their operations to the local node while
-// consuming the same RNG streams as ccm_stress, so with
+// mounts RemoteStorage / RemoteDirectory proxies that reach home over
+// kDirBatch and kStorage* RPCs. Driver threads are partitioned by id
+// (driver d runs in process d % nodes) and pin their operations to the local
+// node while consuming the same RNG streams as ccm_stress, so with
 // --deterministic-writes the final storage bytes at home are byte-identical
 // to an in-process run — `--dump-storage` emits them for the comparison (see
 // docs/MIDDLEWARE.md, "Multi-process loopback cluster").

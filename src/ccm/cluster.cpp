@@ -166,21 +166,12 @@ CcmCluster::CcmCluster(const CcmConfig& config,
 }
 
 CcmCluster::~CcmCluster() {
-  // Ops first (they may have RPCs in flight that need the protocol threads
-  // alive), then the transport, which ends the protocol loops.
-  for (const cache::NodeId n : local_nodes_) shards_[n]->admission.drain();
+  // Closing the transport ends the protocol loops.
   transport_->close();
   for (auto& t : protocol_threads_) t.join();
 }
 
 // ----------------------------------------------------------- admission ----
-
-CcmCluster::Admission::Ticket CcmCluster::Admission::reserve() {
-  util::ScopedLock lock(mu_);
-  if (closed_) throw std::runtime_error("CcmCluster: node is shut down");
-  ++registered_;
-  return Ticket(*this);
-}
 
 void CcmCluster::Admission::enter() {
   util::UniqueLock lock(mu_);
@@ -188,19 +179,10 @@ void CcmCluster::Admission::enter() {
   ++running_;
 }
 
-void CcmCluster::Admission::finish(bool ran) {
+void CcmCluster::Admission::leave() {
   util::ScopedLock lock(mu_);
-  if (ran) --running_;
-  --registered_;
-  // One waiter set shares the cv: slot waiters and drain() — wake them all
-  // only when someone can actually proceed.
-  if (ran || (closed_ && registered_ == 0)) cv_.notify_all();
-}
-
-void CcmCluster::Admission::drain() {
-  util::UniqueLock lock(mu_);
-  closed_ = true;
-  while (registered_ > 0) cv_.wait(lock);
+  --running_;
+  cv_.notify_one();
 }
 
 CcmCluster::Shard& CcmCluster::shard_at(cache::NodeId via) const {
@@ -277,19 +259,6 @@ CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
   }
 }
 
-std::future<std::vector<std::byte>> CcmCluster::read_async(
-    cache::NodeId via, cache::FileId file) {
-  Shard& sh = shard_at(via);
-  if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
-  const std::uint64_t length = storage_->file_size(file);
-  return std::async(std::launch::async,
-                    [this, via, file, length,
-                     ticket = sh.admission.reserve()]() mutable {
-                      return ticket.run(
-                          [&] { return execute_read(via, file, 0, length); });
-                    });
-}
-
 std::vector<std::byte> CcmCluster::read(cache::NodeId via,
                                         cache::FileId file) {
   if (file >= storage_->file_count()) throw std::out_of_range("bad file id");
@@ -305,7 +274,7 @@ std::vector<std::byte> CcmCluster::read_range(cache::NodeId via,
   if (offset + length > storage_->file_size(file)) {
     throw std::out_of_range("range beyond end of file");
   }
-  return sh.admission.reserve().run(
+  return sh.admission.run(
       [&] { return execute_read(via, file, offset, length); });
 }
 
@@ -319,7 +288,7 @@ void CcmCluster::write(cache::NodeId via, cache::FileId file,
   if (dynamic_cast<WritableStorage*>(storage_.get()) == nullptr) {
     throw std::logic_error("CcmCluster::write requires a WritableStorage");
   }
-  sh.admission.reserve().run(
+  sh.admission.run(
       [&] { execute_write(via, file, offset, data); });
 }
 
@@ -493,16 +462,6 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
               net::make_ready_block(std::move(payload))};
     }
 
-    case proto::MsgKind::kDirBeginForward:
-    case proto::MsgKind::kDirClaimForwarded:
-    case proto::MsgKind::kDirForwardRejected:
-    case proto::MsgKind::kDirWriteClaim:
-    case proto::MsgKind::kDirWriteBegin:
-    case proto::MsgKind::kDirWriteEnd:
-    case proto::MsgKind::kDirInvalidateFile:
-    case proto::MsgKind::kDirPurgeNode:
-      return handle_directory(self, msg);
-
     case proto::MsgKind::kStorageRead: {
       assert(self == home_);
       auto data = std::make_shared<BlockData>();
@@ -554,52 +513,6 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
       // else here is a protocol error.
       assert(false && "unexpected message kind at a node protocol thread");
       return {proto::Message::invalidate_ack(self, msg.from), nullptr};
-  }
-}
-
-CcmCluster::Reply CcmCluster::handle_directory(cache::NodeId self,
-                                               const proto::Message& msg) {
-  assert(home_dir_ != nullptr && self == home_);
-  proto::DirectoryService& d = *home_dir_;
-  const cache::NodeId to = msg.from;
-  const auto reply = [&](cache::NodeId result, std::uint64_t epoch,
-                         bool granted) -> Reply {
-    return {proto::Message::dir_reply(self, to, msg.block, result, epoch,
-                                      granted),
-            nullptr};
-  };
-  switch (msg.kind) {
-    case proto::MsgKind::kDirBeginForward: {
-      const auto epoch = d.begin_forward(msg.block, msg.from);
-      return reply(cache::kInvalidNode, epoch.value_or(0), epoch.has_value());
-    }
-    case proto::MsgKind::kDirClaimForwarded:
-      return reply(cache::kInvalidNode, 0,
-                   d.claim_forwarded(msg.block, msg.from,
-                                     static_cast<cache::NodeId>(msg.count),
-                                     msg.age));
-    case proto::MsgKind::kDirForwardRejected:
-      d.forward_rejected(msg.block, msg.from);
-      return reply(cache::kInvalidNode, 0, true);
-    case proto::MsgKind::kDirWriteClaim:
-      return reply(d.write_claim(msg.block, msg.from), 0, true);
-    case proto::MsgKind::kDirWriteBegin:
-      d.write_begin(msg.block.file);
-      return reply(cache::kInvalidNode, 0, true);
-    case proto::MsgKind::kDirWriteEnd:
-      d.write_end(msg.block.file);
-      return reply(cache::kInvalidNode, 0, true);
-    case proto::MsgKind::kDirInvalidateFile:
-      d.invalidate_file(msg.block.file);
-      return reply(cache::kInvalidNode, 0, true);
-    case proto::MsgKind::kDirPurgeNode:
-      // `count` names the dead node; the purged-master count rides back in
-      // the reply's epoch slot. Idempotent: a re-ask purges nothing more.
-      return reply(cache::kInvalidNode,
-                   d.purge_node(static_cast<cache::NodeId>(msg.count)), true);
-    default:
-      assert(false && "not a directory request");
-      return reply(cache::kInvalidNode, 0, false);
   }
 }
 

@@ -8,12 +8,12 @@
 // cached blocks and its own *shard* of the cooperative caching policy: a
 // proto::NodeState (this node's entry books, LRU ages, and stats slice)
 // guarded by a per-node lock. The cluster-wide master map is reached through
-// a DirectoryClient — a local proto::DirectoryService in-process, kDir* RPCs
-// to the node-0 process in a multi-process cluster. Cross-node traffic
-// travels as proto::Message envelopes through a pluggable net::Transport
-// (in-process mailboxes or length-prefixed frames on TCP sockets) to a
-// dedicated protocol thread per node — the exact message vocabulary the
-// simulator charges with the paper's Table-1 latencies (see
+// a DirectoryClient — a local proto::DirectoryService in-process,
+// kDirBatchRequest RPCs to the node-0 process in a multi-process cluster.
+// Cross-node traffic travels as proto::Message envelopes through a pluggable
+// net::Transport (in-process mailboxes or length-prefixed frames on TCP
+// sockets) to a dedicated protocol thread per node — the exact message
+// vocabulary the simulator charges with the paper's Table-1 latencies (see
 // docs/MIDDLEWARE.md for the correspondence).
 //
 // Concurrency model:
@@ -52,7 +52,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <future>
 #include <map>
 #include <memory>
 #include <optional>
@@ -149,8 +148,8 @@ class CcmCluster {
   /// RemoteStorage / RemoteDirectory proxies.
   CcmCluster(const CcmConfig& config, std::shared_ptr<Storage> storage,
              CcmHosting hosting);
-  /// Refuses new ops ("node is shut down"), waits for every op already
-  /// issued (read_async ones included), then closes the transport.
+  /// Closes the transport and joins the protocol threads. Every read(),
+  /// read_range() and write() must have returned first.
   ~CcmCluster();
 
   CcmCluster(const CcmCluster&) = delete;
@@ -160,12 +159,6 @@ class CcmCluster {
   /// one of `via`'s admission slots is free). Thread-safe. `via` must be
   /// hosted in this process.
   std::vector<std::byte> read(cache::NodeId via, cache::FileId file);
-
-  /// read() on a thread of its own (std::async); the future resolves when
-  /// the bytes are assembled. The op is registered at `via` before this
-  /// returns, so destroying the cluster waits for it.
-  std::future<std::vector<std::byte>> read_async(cache::NodeId via,
-                                                 cache::FileId file);
 
   /// Reads a byte range [offset, offset+length) of `file` via `via`.
   std::vector<std::byte> read_range(cache::NodeId via, cache::FileId file,
@@ -294,59 +287,34 @@ class CcmCluster {
   using Store =
       std::unordered_map<cache::BlockId, BlockPtr, cache::BlockIdHash>;
 
-  /// A hosted node's admission slots (CcmConfig::workers_per_node): at most
-  /// `limit` ops execute at the node at once. An op registers first — read()
-  /// just before it runs, read_async() on the issuing thread — so drain()
-  /// can refuse new ops and wait for every registered one, queued or
-  /// running. The lock is a leaf: nothing is called while it is held.
+  /// A hosted node's admission slots (CcmConfig::workers_per_node): a
+  /// counting semaphore, so at most `limit` ops execute at the node at once
+  /// and further callers wait for a slot. The lock is a leaf: nothing is
+  /// called while it is held.
   class Admission {
    public:
-    /// One registered op (move-only). run() executes it in a slot;
-    /// destroying a ticket that never ran unregisters it.
-    class Ticket {
-     public:
-      explicit Ticket(Admission& owner) : owner_(&owner) {}
-      Ticket(Ticket&& other) noexcept
-          : owner_(std::exchange(other.owner_, nullptr)) {}
-      ~Ticket() {
-        if (owner_ != nullptr) owner_->finish(false);
-      }
-
-      /// Waits for a free slot, runs `op` in it, then releases slot and
-      /// registration together.
-      template <typename Op>
-      auto run(Op&& op) {
-        owner_->enter();
-        struct Done {
-          Admission* owner;
-          ~Done() { owner->finish(true); }
-        } done{std::exchange(owner_, nullptr)};
-        return op();
-      }
-
-     private:
-      Admission* owner_;
-    };
-
     Admission(std::size_t limit, std::string lock_name)
         : mu_(std::move(lock_name)), limit_(limit) {}
 
-    /// Registers an op; throws "node is shut down" once drain() has begun.
-    Ticket reserve();
-    /// Refuses new registrations and waits until every registered op is
-    /// done.
-    void drain();
+    /// Waits for a free slot, runs `op` in it, then releases the slot.
+    template <typename Op>
+    auto run(Op&& op) {
+      enter();
+      struct Slot {
+        Admission* owner;
+        ~Slot() { owner->leave(); }
+      } slot{this};
+      return op();
+    }
 
    private:
     void enter();
-    void finish(bool ran);
+    void leave();
 
     util::Mutex mu_;
     std::condition_variable_any cv_;
     const std::size_t limit_;
-    std::size_t registered_ GUARDED_BY(mu_) = 0;
     std::size_t running_ GUARDED_BY(mu_) = 0;
-    bool closed_ GUARDED_BY(mu_) = false;
   };
 
   /// One node's share of the runtime: its policy slice, byte store, and the
@@ -406,8 +374,6 @@ class CcmCluster {
   /// on another hosted node, so cross-node request chains cannot deadlock.
   void protocol_loop(cache::NodeId node);
   Reply handle_message(cache::NodeId self, net::Envelope& env);
-  /// Answers kDir* RPCs against the in-process DirectoryService (home only).
-  Reply handle_directory(cache::NodeId self, const proto::Message& msg);
 
   /// Sends `msg` to its destination's protocol thread and awaits the reply.
   /// Callers must not hold any shard lock.
@@ -533,7 +499,7 @@ class CcmCluster {
   std::shared_ptr<net::Transport> transport_;
   std::shared_ptr<DirectoryClient> dir_;
   /// The in-process DirectoryService when the directory is local (serves
-  /// kDir* RPCs); nullptr in non-home processes.
+  /// kDirBatchRequests); nullptr in non-home processes.
   proto::DirectoryService* home_dir_ = nullptr;
 
   std::vector<cache::NodeId> local_nodes_;

@@ -6,22 +6,12 @@
 
 namespace coop::ccm {
 
-proto::Message RemoteDirectory::ask(const proto::Message& request) {
-  net::Envelope env;
-  env.msg = request;
-  // Bounded retry: a directory RPC must never hang on a lossy or slow link,
-  // and every kDir* operation RemoteDirectory issues is idempotent or
-  // conditional at the service (see DirectoryService), so a re-ask whose
-  // first reply was lost is safe.
-  return net::call_with_retry(*transport_, env, net::RetryPolicy{},
-                              retry_stats_)
-      .msg;
-}
-
 proto::DirBatchResult RemoteDirectory::ask_one(cache::NodeId node,
                                                proto::DirBatchOp op,
-                                               const cache::BlockId& b) {
-  const proto::DirBatchItem item{op, b};
+                                               const cache::BlockId& b,
+                                               cache::NodeId peer,
+                                               std::uint64_t arg) {
+  const proto::DirBatchItem item{op, b, arg, peer};
   return batch_impl(node, std::span(&item, 1)).front();
 }
 
@@ -43,23 +33,21 @@ bool RemoteDirectory::try_claim_impl(const cache::BlockId& b,
 
 std::optional<std::uint64_t> RemoteDirectory::begin_forward_impl(
     const cache::BlockId& b, cache::NodeId from) {
-  const proto::Message reply = ask(proto::Message::dir_request(
-      proto::MsgKind::kDirBeginForward, from, home_, b));
-  if (!reply.has(proto::kFlagGranted)) return std::nullopt;
-  return reply.age;
+  const auto r = ask_one(from, proto::DirBatchOp::kBeginForward, b);
+  if (!r.has(proto::kFlagGranted)) return std::nullopt;
+  return r.epoch;
 }
 
 bool RemoteDirectory::claim_forwarded_impl(const cache::BlockId& b,
                                            cache::NodeId to, cache::NodeId from,
                                            std::uint64_t epoch) {
-  return ask(proto::Message::dir_claim_forwarded(to, home_, b, from, epoch))
+  return ask_one(to, proto::DirBatchOp::kClaimForwarded, b, from, epoch)
       .has(proto::kFlagGranted);
 }
 
 void RemoteDirectory::forward_rejected_impl(const cache::BlockId& b,
                                             cache::NodeId from) {
-  ask(proto::Message::dir_request(proto::MsgKind::kDirForwardRejected, from,
-                                  home_, b));
+  ask_one(from, proto::DirBatchOp::kForwardRejected, b);
 }
 
 void RemoteDirectory::master_dropped_impl(const cache::BlockId& b,
@@ -69,24 +57,19 @@ void RemoteDirectory::master_dropped_impl(const cache::BlockId& b,
 
 cache::NodeId RemoteDirectory::write_claim_impl(const cache::BlockId& b,
                                                 cache::NodeId writer) {
-  return ask(proto::Message::dir_request(proto::MsgKind::kDirWriteClaim,
-                                         writer, home_, b))
-      .dir_result();
+  return ask_one(writer, proto::DirBatchOp::kWriteClaim, b).node;
 }
 
 void RemoteDirectory::invalidate_file_impl(cache::FileId file) {
-  ask(proto::Message::dir_file_request(proto::MsgKind::kDirInvalidateFile,
-                                       local_, home_, file));
+  ask_one(local_, proto::DirBatchOp::kInvalidateFile, {file, 0});
 }
 
 void RemoteDirectory::write_begin_impl(cache::FileId file) {
-  ask(proto::Message::dir_file_request(proto::MsgKind::kDirWriteBegin, local_,
-                                       home_, file));
+  ask_one(local_, proto::DirBatchOp::kWriteBegin, {file, 0});
 }
 
 void RemoteDirectory::write_end_impl(cache::FileId file) {
-  ask(proto::Message::dir_file_request(proto::MsgKind::kDirWriteEnd, local_,
-                                       home_, file));
+  ask_one(local_, proto::DirBatchOp::kWriteEnd, {file, 0});
 }
 
 bool RemoteDirectory::read_cacheable_impl(cache::FileId file,
@@ -98,9 +81,9 @@ bool RemoteDirectory::read_cacheable_impl(cache::FileId file,
 }
 
 std::size_t RemoteDirectory::purge_node_impl(cache::NodeId node) {
-  // The purged count rides back in the reply's epoch slot (`age`).
+  // The purged count rides back in the result's epoch slot.
   return static_cast<std::size_t>(
-      ask(proto::Message::dir_purge_node(local_, home_, node)).age);
+      ask_one(local_, proto::DirBatchOp::kPurgeNode, {0, 0}, node).epoch);
 }
 
 std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
@@ -110,9 +93,9 @@ std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
   env.msg = proto::Message::dir_batch_request(
       node, home_, static_cast<std::uint32_t>(items.size()), payload.size());
   env.data = net::make_ready_block(std::move(payload));
-  // Same at-least-once contract as ask(): a replayed batch re-executes ops
-  // that are individually idempotent or conditional, exactly like replaying
-  // each single.
+  // Bounded retry: a directory RPC must never hang on a lossy or slow link.
+  // A re-sent batch re-executes its ops exactly as re-sending each op singly
+  // would; proto::replay_safe names the ops for which that is not harmless.
   net::Envelope reply =
       net::call_with_retry(*transport_, env, net::RetryPolicy{}, retry_stats_);
   if (reply.msg.kind == proto::MsgKind::kDirBatchReply && reply.data) {

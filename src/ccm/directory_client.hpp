@@ -4,9 +4,9 @@
 // forward, write, and invalidation. In-process the directory is a local
 // object (LocalDirectory wraps a proto::DirectoryService); in the
 // multi-process cluster it lives in the process hosting node 0 and every
-// other process reaches it with kDir* RPCs over the transport
-// (RemoteDirectory). The runtime code is identical either way — it speaks
-// DirectoryClient.
+// other process reaches it with kDirBatchRequest RPCs over the transport
+// (RemoteDirectory), one op per item. The runtime code is identical either
+// way — it speaks DirectoryClient.
 //
 // The public protocol surface is NON-virtual: every call is counted at the
 // base class — the one place — and then dispatched to the protected *_impl
@@ -113,8 +113,8 @@ class DirectoryClient {
 
   /// Batched directory ops issued by `node`: one round trip (and, at the
   /// service, one lock acquisition) for the whole vector. Returns one
-  /// result per item, in order. Safe under at-least-once retry for the same
-  /// reason the singles are: every op is idempotent or conditional.
+  /// result per item, in order. A retried batch re-executes its ops exactly
+  /// as retried singles would (see proto::replay_safe).
   std::vector<proto::DirBatchResult> batch(
       cache::NodeId node, std::span<const proto::DirBatchItem> items) {
     batches_.fetch_add(1, std::memory_order_relaxed);
@@ -147,7 +147,7 @@ class DirectoryClient {
 
   /// The in-process service when the directory is local (home process and
   /// the all-in-one runtime); nullptr behind a remote client. CcmCluster
-  /// uses this to answer kDir* RPCs on the directory's behalf.
+  /// uses this to answer kDirBatchRequests on the directory's behalf.
   virtual proto::DirectoryService* service() { return nullptr; }
 
  protected:
@@ -261,11 +261,9 @@ class LocalDirectory final : public DirectoryClient {
 };
 
 /// The directory lives at `home` in another process; every operation is one
-/// RPC over the transport. Lookups, claims, master drops and cache
-/// validations ride kDirBatchRequest (a single op is a batch of one, answered
-/// by a kDirBatchReply whose payload carries the per-item results); the
-/// other ops are kDir* singles answered with a generic kDirReply. A batch
-/// reply that does not decode to one result per item throws
+/// kDirBatchRequest RPC over the transport (a single op is a batch of one,
+/// answered by a kDirBatchReply whose payload carries the per-item results).
+/// A batch reply that does not decode to one result per item throws
 /// std::runtime_error.
 class RemoteDirectory final : public DirectoryClient {
  public:
@@ -312,11 +310,11 @@ class RemoteDirectory final : public DirectoryClient {
       cache::NodeId node, std::span<const proto::DirBatchItem> items) override;
 
  private:
-  /// Round-trips one request and returns the kDirReply message.
-  proto::Message ask(const proto::Message& request);
-  /// Round-trips `op` on `b` as a one-item kDirBatch.
+  /// Round-trips `op` on `b`, issued by `node`, as a one-item kDirBatch.
   proto::DirBatchResult ask_one(cache::NodeId node, proto::DirBatchOp op,
-                                const cache::BlockId& b);
+                                const cache::BlockId& b,
+                                cache::NodeId peer = cache::kInvalidNode,
+                                std::uint64_t arg = 0);
 
   std::shared_ptr<net::Transport> transport_;
   cache::NodeId local_;

@@ -6,6 +6,8 @@
 #include <thread>
 #include <utility>
 
+#include "proto/dir_batch.hpp"
+
 namespace coop::net {
 
 namespace {
@@ -50,10 +52,10 @@ const char* action_name(FaultAction action) {
 // re-sent by call_with_retry, so the kind must tolerate at-least-once
 // delivery; a dropped *reply* re-executes a request the peer already
 // processed, so the kind must additionally be idempotent at the receiver.
-// Kinds that are neither (dir-write-claim, dir-write-begin/end) are never
-// generated — hand-written schedules may still target them to study the
-// failure, but no invariant guarantee attaches. dir-batch-request qualifies
-// because every proto::DirBatchOp is idempotent or conditional.
+// dir-batch-request qualifies op by op: a batch carrying an op that is not
+// proto::replay_safe (a write claim or write-span bracket) is never
+// duplicated and never loses its reply (FaultyTransport::call_impl), while
+// request drops and delays still apply to it.
 
 constexpr proto::MsgKind kDroppableRequests[] = {
     proto::MsgKind::kPeerFetch,        proto::MsgKind::kInvalidateBlock,
@@ -71,7 +73,7 @@ constexpr proto::MsgKind kDuplicableRequests[] = {
 
 constexpr proto::MsgKind kReplyDroppable[] = {
     proto::MsgKind::kPeerFetch,        proto::MsgKind::kDirBatchRequest,
-    proto::MsgKind::kStorageRead,      proto::MsgKind::kDirClaimForwarded,
+    proto::MsgKind::kStorageRead,
 };
 
 constexpr proto::MsgKind kDelayable[] = {
@@ -79,8 +81,8 @@ constexpr proto::MsgKind kDelayable[] = {
     proto::MsgKind::kInvalidateBlock, proto::MsgKind::kInvalidateFile,
     proto::MsgKind::kMasterForward,   proto::MsgKind::kMasterForwardAck,
     proto::MsgKind::kDirBatchRequest, proto::MsgKind::kDirBatchReply,
-    proto::MsgKind::kDirReply,        proto::MsgKind::kStorageRead,
-    proto::MsgKind::kStorageData,     proto::MsgKind::kWriteOwnership,
+    proto::MsgKind::kStorageRead,     proto::MsgKind::kStorageData,
+    proto::MsgKind::kWriteOwnership,
 };
 
 template <std::size_t N>
@@ -267,7 +269,8 @@ void FaultyTransport::log_event(FaultAction action,
 }
 
 FaultyTransport::Decision FaultyTransport::decide(const proto::Message& msg,
-                                                  Phase phase) {
+                                                  Phase phase,
+                                                  bool replayable) {
   Decision decision;
   const bool reply_phase = phase == Phase::kCallReply;
   for (std::size_t i = 0; i < schedule_.rules.size(); ++i) {
@@ -276,6 +279,10 @@ FaultyTransport::Decision FaultyTransport::decide(const proto::Message& msg,
     if (phase == Phase::kCallRequest &&
         rule.action == FaultAction::kReorder) {
       continue;  // a blocked caller cannot be overtaken; nothing to reorder
+    }
+    if (!replayable && (rule.action == FaultAction::kDuplicate ||
+                        (reply_phase && rule.action == FaultAction::kDrop))) {
+      continue;  // either would make the peer execute the request twice
     }
     if (rule.kind && *rule.kind != msg.kind) continue;
     if (rule.from && *rule.from != msg.from) continue;
@@ -312,6 +319,14 @@ FaultyTransport::Decision FaultyTransport::decide(const proto::Message& msg,
 }
 
 Envelope FaultyTransport::call_impl(Envelope env) {
+  // A directory batch carrying an op that must not be received twice is
+  // exempt from duplication and reply loss. (Its payload is built complete
+  // by RemoteDirectory, so the wait returns at once.)
+  bool replayable = true;
+  if (env.msg.kind == proto::MsgKind::kDirBatchRequest && env.data) {
+    env.data->wait_ready();
+    replayable = proto::dir_batch_replay_safe(env.data->bytes);
+  }
   Decision request_decision;
   {
     util::ScopedLock lock(mu_);
@@ -322,7 +337,7 @@ Envelope FaultyTransport::call_impl(Envelope env) {
           TransportError::Kind::kPeerDown,
           "node " + std::to_string(env.msg.to) + " is crashed");
     }
-    request_decision = decide(env.msg, Phase::kCallRequest);
+    request_decision = decide(env.msg, Phase::kCallRequest, replayable);
   }
   const proto::Message request = env.msg;
   if (request_decision.fired) {
@@ -353,7 +368,7 @@ Envelope FaultyTransport::call_impl(Envelope env) {
   Decision reply_decision;
   {
     util::ScopedLock lock(mu_);
-    reply_decision = decide(request, Phase::kCallReply);
+    reply_decision = decide(request, Phase::kCallReply, replayable);
   }
   if (reply_decision.fired) {
     switch (reply_decision.action) {
@@ -385,7 +400,7 @@ bool FaultyTransport::post(Envelope env) {
       log_event(FaultAction::kCrash, env.msg, false, FaultEvent::kNoRule, 0);
       return true;  // blackholed, as if the wire to a dead box ate it
     }
-    decision = decide(env.msg, Phase::kPost);
+    decision = decide(env.msg, Phase::kPost, /*replayable=*/true);
     if (decision.fired && decision.action == FaultAction::kReorder) {
       if (!parked_.has_value()) {
         parked_ = std::move(env);

@@ -69,7 +69,7 @@ struct FaultSchedule {
   std::vector<FaultRule> rules;
 
   /// Parses the compact spec format, e.g.
-  ///   "drop:kind=peer-fetch,every=7;delay:kind=dir-reply,ms=5,every=13"
+  ///   "drop:kind=peer-fetch,every=7;delay:kind=dir-batch-reply,ms=5,every=13"
   /// Rules are ';'-separated, each "action:key=val,...". Keys: kind (a
   /// proto::kind_name token), from, to, reply (0/1), start, count, every,
   /// ms. Throws std::invalid_argument on malformed input.
@@ -78,7 +78,8 @@ struct FaultSchedule {
   /// Draws 3..6 rules pseudo-randomly from `seed`, restricted to message
   /// kinds and windows the recovery machinery is guaranteed to absorb
   /// (every >= 3 keeps consecutive retry attempts from both being dropped;
-  /// non-idempotent kinds like dir-write-claim are never touched).
+  /// a directory batch carrying a write op is never duplicated and never
+  /// loses its reply — see proto::replay_safe).
   static FaultSchedule generated(std::uint64_t seed);
 
   /// Round-trips through parse() (modulo seed).
@@ -89,7 +90,7 @@ struct FaultSchedule {
 struct FaultEvent {
   std::uint64_t index = 0;  // ordinal in the event log
   FaultAction action = FaultAction::kDrop;
-  proto::MsgKind kind = proto::MsgKind::kBlockLookup;  // request kind
+  proto::MsgKind kind = proto::MsgKind::kPeerFetch;  // request kind
   bool on_reply = false;
   cache::NodeId from = cache::kInvalidNode;
   cache::NodeId to = cache::kInvalidNode;
@@ -140,7 +141,10 @@ class FaultyTransport final : public Transport {
 
   /// Matches `msg` (request kind `kind` when perturbing a reply) against
   /// the schedule, advances rule counters, and logs the event if one fires.
-  Decision decide(const proto::Message& msg, Phase phase) REQUIRES(mu_);
+  /// A request that is not `replayable` is invisible to duplicate and
+  /// reply-drop rules (they neither fire nor count it).
+  Decision decide(const proto::Message& msg, Phase phase, bool replayable)
+      REQUIRES(mu_);
   void log_event(FaultAction action, const proto::Message& msg,
                  bool on_reply, std::size_t rule,
                  std::uint64_t occurrence) REQUIRES(mu_);

@@ -45,7 +45,11 @@ inline constexpr std::uint32_t kHandshakeMagic = 0x314D4343;  // "CCM1"
 // payload vocabulary in proto/dir_batch.hpp) extended the kind space.
 // v4: the lookup, claim, master-drop and read-cacheable singles became
 // one-item kDirBatchRequests; retiring their kinds renumbered MsgKind.
-inline constexpr std::uint16_t kProtocolVersion = 4;
+// v5: every other directory op (forward handshake, write claim and span,
+// file invalidation, node purge) became a kDirBatch op too, and the singles,
+// the generic directory reply and the unused lookup/claim/eviction kinds
+// were retired.
+inline constexpr std::uint16_t kProtocolVersion = 5;
 inline constexpr std::size_t kHandshakeSize = 4 + 2 + 2;
 
 /// Fixed frame bytes after the length prefix, before the payload.

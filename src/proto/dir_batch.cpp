@@ -54,6 +54,7 @@ std::vector<std::byte> encode_dir_batch_request(
     put_u32(out, it.block.file);
     put_u32(out, it.block.index);
     put_u64(out, it.arg);
+    put_u16(out, it.peer);
   }
   return out;
 }
@@ -83,6 +84,7 @@ std::optional<DirBatchRequest> decode_dir_batch_request(
     it.block.file = get_u32(p + 1);
     it.block.index = get_u32(p + 5);
     it.arg = get_u64(p + 9);
+    it.peer = get_u16(p + 17);
     req.items.push_back(it);
   }
   return req;
@@ -127,6 +129,18 @@ std::optional<std::vector<DirBatchResult>> decode_dir_batch_reply(
     results.push_back(r);
   }
   return results;
+}
+
+bool dir_batch_replay_safe(std::span<const std::byte> payload) {
+  for (std::size_t at = kDirBatchRequestHeader; at < payload.size();
+       at += kDirBatchItemWire) {
+    const auto raw_op = std::to_integer<std::uint8_t>(payload[at]);
+    if (raw_op < kDirBatchOpCount &&
+        !replay_safe(static_cast<DirBatchOp>(raw_op))) {
+      return false;
+    }
+  }
+  return true;
 }
 
 }  // namespace coop::proto

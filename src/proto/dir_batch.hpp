@@ -1,24 +1,23 @@
 // Batched directory operations: the payload vocabulary of
-// kDirBatchRequest/kDirBatchReply.
+// kDirBatchRequest/kDirBatchReply, the only directory messages on the wire.
 //
-// One envelope carries a length-prefixed vector of per-block directory ops,
-// so a read path touching N blocks of a file costs one RPC and one
-// directory-lock acquisition instead of N of each. The batch is *not* a
-// transaction: each item applies exactly the conditional/idempotent
-// operation of the matching DirectoryService call, so an at-least-once
-// replay of the whole batch is as safe as replaying each call — the
-// net/call_with_retry contract is unchanged. A single lookup, claim, master
-// drop or validation travels as a batch of one.
+// One envelope carries a length-prefixed vector of directory ops, so a read
+// path touching N blocks of a file costs one RPC and one directory-lock
+// acquisition instead of N of each. The batch is *not* a transaction: each
+// item applies exactly the operation of the matching DirectoryService call.
+// Every directory op the runtime issues singly travels as a batch of one.
 //
 // Payload layout (little-endian; independent of the fixed Message wire):
 //
 //   request  [version u8][node u16][count u32]
-//            then per item:  [op u8][file u32][index u32][arg u64]
+//            then per item:  [op u8][file u32][index u32][arg u64][peer u16]
 //   reply    [version u8][count u32]
 //            then per item:  [node u16][epoch u64][flags u8]
 //
-// `arg` is op-specific (currently unused; carried for forward evolution).
-// Reply flags reuse the Message flag bits (kFlagGranted, kFlagMisdirected).
+// `node` is the issuing node: the service applies every item as that node's
+// call. `arg` and `peer` are op-specific (docs/MIDDLEWARE.md has the per-op
+// table); file-level ops name their file as `block = {file, 0}`. Reply
+// flags reuse the Message flag bits (kFlagGranted, kFlagMisdirected).
 #pragma once
 
 #include <cstddef>
@@ -34,17 +33,14 @@ namespace coop::proto {
 /// Bump when the batch payload layout changes (checked by decode; the frame
 /// layer's kProtocolVersion guards whole-process mixing, this guards the
 /// payload inside it).
-inline constexpr std::uint8_t kDirBatchVersion = 1;
+inline constexpr std::uint8_t kDirBatchVersion = 2;
 
 /// Decode-side allocation bound: a well-formed peer never sends more items
 /// than this (the cluster batches per-file block runs, far smaller).
 inline constexpr std::uint32_t kDirBatchMaxItems = 1u << 16;
 
-/// Every op must stay safe to receive twice — idempotent or conditional at
-/// the service — because a batch may be replayed whole: call_with_retry
-/// re-sends it, and the fault-injection pools (net/fault.cpp) drop, duplicate
-/// and reply-drop kDirBatchRequest. A new op that is not (write_claim,
-/// write_begin/end) belongs on its own single kind instead.
+/// One directory operation. Which of them may be received twice is
+/// replay_safe()'s answer, the one place that knows it.
 enum class DirBatchOp : std::uint8_t {
   kLookupRead = 0,  // lookup_for_read(node, block)
   kTryClaim,        // try_claim(block, node)
@@ -53,18 +49,38 @@ enum class DirBatchOp : std::uint8_t {
   /// master, the current file epoch, and kFlagGranted iff no write to the
   /// file is in flight. The *caller* compares these against the hint it
   /// fetched under (master unchanged, epoch unchanged, write-free) — the
-  /// same predicate as lookup() + read_cacheable() in the singles protocol —
-  /// and refreshes its hint slot from the authoritative answer either way.
+  /// same predicate as lookup() + read_cacheable() — and refreshes its hint
+  /// slot from the authoritative answer either way.
   kValidate,
+  kBeginForward,     // begin_forward(block, node): epoch, kFlagGranted if begun
+  kClaimForwarded,   // claim_forwarded(block, node, peer, arg = epoch)
+  kForwardRejected,  // forward_rejected(block, node)
+  kWriteClaim,       // write_claim(block, node): previous holder in `node`
+  kWriteBegin,       // write_begin(block.file)
+  kWriteEnd,         // write_end(block.file)
+  kInvalidateFile,   // invalidate_file(block.file)
+  kPurgeNode,        // purge_node(peer): purged count in `epoch`
 };
 
 inline constexpr std::uint8_t kDirBatchOpCount =
-    static_cast<std::uint8_t>(DirBatchOp::kValidate) + 1;
+    static_cast<std::uint8_t>(DirBatchOp::kPurgeNode) + 1;
+
+/// False for the ops that must not be received twice: a write claim and the
+/// write-span brackets change state on every delivery (epoch bumps, the
+/// in-flight write count). The rest are idempotent or conditional at the
+/// service, so receiving them twice is harmless, and the fault pools
+/// (net/fault.cpp) may duplicate them or drop their replies.
+[[nodiscard]] constexpr bool replay_safe(DirBatchOp op) {
+  return op != DirBatchOp::kWriteClaim && op != DirBatchOp::kWriteBegin &&
+         op != DirBatchOp::kWriteEnd;
+}
 
 struct DirBatchItem {
   DirBatchOp op = DirBatchOp::kLookupRead;
   BlockId block{0, 0};
-  std::uint64_t arg = 0;  // op-specific; currently always 0
+  std::uint64_t arg = 0;                 // kClaimForwarded: the epoch
+  NodeId peer = cache::kInvalidNode;     // kClaimForwarded: the forwarder;
+                                         // kPurgeNode: the node to purge
 
   friend bool operator==(const DirBatchItem&, const DirBatchItem&) = default;
 };
@@ -83,7 +99,7 @@ struct DirBatchResult {
 
 /// Encoded payload sizes (used by tests and the framing layer).
 inline constexpr std::size_t kDirBatchRequestHeader = 1 + 2 + 4;
-inline constexpr std::size_t kDirBatchItemWire = 1 + 4 + 4 + 8;
+inline constexpr std::size_t kDirBatchItemWire = 1 + 4 + 4 + 8 + 2;
 inline constexpr std::size_t kDirBatchReplyHeader = 1 + 4;
 inline constexpr std::size_t kDirBatchResultWire = 2 + 8 + 1;
 
@@ -107,5 +123,10 @@ std::vector<std::byte> encode_dir_batch_reply(
 /// Decodes a batch reply payload; same strictness as the request decoder.
 std::optional<std::vector<DirBatchResult>> decode_dir_batch_reply(
     std::span<const std::byte> payload);
+
+/// True unless an encoded request payload carries an op that is not
+/// replay_safe(). Reads only the op bytes (no allocation); a payload too
+/// short for its count is checked as far as it goes.
+[[nodiscard]] bool dir_batch_replay_safe(std::span<const std::byte> payload);
 
 }  // namespace coop::proto

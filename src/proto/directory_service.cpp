@@ -69,6 +69,11 @@ bool DirectoryService::try_claim_locked(const BlockId& b, NodeId node) {
 std::optional<std::uint64_t> DirectoryService::begin_forward(const BlockId& b,
                                                              NodeId from) {
   util::ScopedLock lock(mu_);
+  return begin_forward_locked(b, from);
+}
+
+std::optional<std::uint64_t> DirectoryService::begin_forward_locked(
+    const BlockId& b, NodeId from) {
   if (map_.lookup(b) != from) {
     // A rival transition (a write claim, an invalidation sweep) already
     // re-owns or erased this entry; erasing it here would let the forward
@@ -91,6 +96,12 @@ std::optional<std::uint64_t> DirectoryService::begin_forward(const BlockId& b,
 bool DirectoryService::claim_forwarded(const BlockId& b, NodeId to,
                                        NodeId from, std::uint64_t epoch) {
   util::ScopedLock lock(mu_);
+  return claim_forwarded_locked(b, to, from, epoch);
+}
+
+bool DirectoryService::claim_forwarded_locked(const BlockId& b, NodeId to,
+                                              NodeId from,
+                                              std::uint64_t epoch) {
   if (file_epoch_locked(b.file) == epoch && map_.lookup(b) == to) {
     return true;  // at-least-once re-ask: the first delivery already landed
   }
@@ -109,6 +120,10 @@ bool DirectoryService::claim_forwarded(const BlockId& b, NodeId to,
 
 void DirectoryService::forward_rejected(const BlockId& b, NodeId from) {
   util::ScopedLock lock(mu_);
+  forward_rejected_locked(b, from);
+}
+
+void DirectoryService::forward_rejected_locked(const BlockId& b, NodeId from) {
   ++ops_.forward_rejects;
   if (mode_ == cache::DirectoryMode::kHinted) {
     hints_.erase_master(b, from);
@@ -159,6 +174,35 @@ void DirectoryService::apply_batch(NodeId node,
           r.flags |= kFlagGranted;
         }
         break;
+      case DirBatchOp::kBeginForward:
+        if (const auto epoch = begin_forward_locked(it.block, node)) {
+          r.epoch = *epoch;
+          r.flags |= kFlagGranted;
+        }
+        break;
+      case DirBatchOp::kClaimForwarded:
+        if (claim_forwarded_locked(it.block, node, it.peer, it.arg)) {
+          r.flags |= kFlagGranted;
+        }
+        break;
+      case DirBatchOp::kForwardRejected:
+        forward_rejected_locked(it.block, node);
+        break;
+      case DirBatchOp::kWriteClaim:
+        r.node = write_claim_locked(it.block, node);
+        break;
+      case DirBatchOp::kWriteBegin:
+        write_begin_locked(it.block.file);
+        break;
+      case DirBatchOp::kWriteEnd:
+        write_end_locked(it.block.file);
+        break;
+      case DirBatchOp::kInvalidateFile:
+        invalidate_file_locked(it.block.file);
+        break;
+      case DirBatchOp::kPurgeNode:
+        r.epoch = purge_node_locked(it.peer);
+        break;
     }
     out.push_back(r);
   }
@@ -166,6 +210,10 @@ void DirectoryService::apply_batch(NodeId node,
 
 NodeId DirectoryService::write_claim(const BlockId& b, NodeId writer) {
   util::ScopedLock lock(mu_);
+  return write_claim_locked(b, writer);
+}
+
+NodeId DirectoryService::write_claim_locked(const BlockId& b, NodeId writer) {
   const NodeId previous = map_.lookup(b);
   ++ops_.write_claims;
   // Epoch fence: the write changes the block's bytes even when the
@@ -182,11 +230,17 @@ NodeId DirectoryService::write_claim(const BlockId& b, NodeId writer) {
 
 void DirectoryService::invalidate_file(FileId file) {
   util::ScopedLock lock(mu_);
-  ++epochs_[file];
+  invalidate_file_locked(file);
 }
+
+void DirectoryService::invalidate_file_locked(FileId file) { ++epochs_[file]; }
 
 std::size_t DirectoryService::purge_node(NodeId node) {
   util::ScopedLock lock(mu_);
+  return purge_node_locked(node);
+}
+
+std::size_t DirectoryService::purge_node_locked(NodeId node) {
   const std::vector<BlockId> purged = map_.erase_node(node);
   for (const BlockId& b : purged) {
     ++epochs_[b.file];  // fence: the dead node's in-flight claims go stale
@@ -218,11 +272,19 @@ void DirectoryService::rebuild_masters(
 
 void DirectoryService::write_begin(FileId file) {
   util::ScopedLock lock(mu_);
+  write_begin_locked(file);
+}
+
+void DirectoryService::write_begin_locked(FileId file) {
   ++writes_in_flight_[file];
 }
 
 void DirectoryService::write_end(FileId file) {
   util::ScopedLock lock(mu_);
+  write_end_locked(file);
+}
+
+void DirectoryService::write_end_locked(FileId file) {
   const auto it = writes_in_flight_.find(file);
   if (it != writes_in_flight_.end() && --it->second == 0) {
     writes_in_flight_.erase(it);
@@ -277,29 +339,6 @@ std::size_t DirectoryService::audit(const char* context) const {
   util::ScopedLock lock(mu_);
   if (mode_ != cache::DirectoryMode::kHinted) return 0;
   return hints_.audit(context);
-}
-
-Message DirectoryService::handle(const Message& request) {
-  switch (request.kind) {
-    case MsgKind::kBlockLookup: {
-      const auto r = lookup_for_read(request.from, request.block);
-      return Message::lookup_reply(request.from, request.block, r.master,
-                                   r.misdirected);
-    }
-    case MsgKind::kMasterClaim: {
-      const bool granted = try_claim(request.block, request.from);
-      return Message::claim_reply(request.from, request.block, granted,
-                                  lookup(request.block));
-    }
-    case MsgKind::kEvictionNotice: {
-      master_dropped(request.block, request.from);
-      return Message::invalidate_ack(cache::kInvalidNode, request.from);
-    }
-    default:
-      // Not a directory message; echo an un-granted reply.
-      return Message::claim_reply(request.from, request.block, false,
-                                  lookup(request.block));
-  }
 }
 
 }  // namespace coop::proto

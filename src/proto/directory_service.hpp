@@ -24,7 +24,6 @@
 #include "cache/directory.hpp"
 #include "cache/coop_cache.hpp"
 #include "proto/dir_batch.hpp"
-#include "proto/message.hpp"
 #include "util/mutex.hpp"
 #include "util/thread_annotations.hpp"
 
@@ -107,12 +106,13 @@ class DirectoryService {
   /// racing claim by another node is never erased.
   void master_dropped(const BlockId& b, NodeId node);
 
-  /// Batched entry point (kDirBatchRequest): applies every item issued by
-  /// `node` under ONE lock acquisition, appending one result per item in
-  /// order. Per-item semantics and Ops counters are exactly the singles
-  /// methods' — a batch and the same ops issued singly leave bit-identical
-  /// directory state (asserted in tests/test_proto.cpp), which is also what
-  /// keeps an at-least-once replay of the batch safe.
+  /// Batched entry point (kDirBatchRequest, the only directory message on
+  /// the wire): applies every item issued by `node` under ONE lock
+  /// acquisition, appending one result per item in order. Per-item
+  /// semantics and Ops counters are exactly the singles methods' — a batch
+  /// and the same ops issued singly leave bit-identical directory state
+  /// (asserted in tests/test_proto.cpp), so a replayed batch is exactly as
+  /// safe as replaying its ops singly (see proto::replay_safe).
   void apply_batch(NodeId node, std::span<const DirBatchItem> items,
                    std::vector<DirBatchResult>& out);
 
@@ -174,20 +174,24 @@ class DirectoryService {
   /// Hint-layer internal-consistency sweep (0 in perfect mode).
   std::size_t audit(const char* context) const;
 
-  /// Message-level adapter: answers directory queries expressed as wire
-  /// messages (kBlockLookup, kMasterClaim, kEvictionNotice). This is the
-  /// seam where a remote directory node would plug in; the in-process
-  /// runtime calls the typed methods directly.
-  Message handle(const Message& request);
-
  private:
-  // Lock-free bodies of the batchable operations: the public singles methods
-  // and apply_batch() both dispatch here, so batched and single execution
-  // cannot drift apart.
+  // Bodies of the batchable operations, run with mu_ held: the public
+  // singles methods and apply_batch() both dispatch here, so batched and
+  // single execution cannot drift apart.
   ReadLookup lookup_for_read_locked(NodeId node, const BlockId& b)
       REQUIRES(mu_);
   bool try_claim_locked(const BlockId& b, NodeId node) REQUIRES(mu_);
   void master_dropped_locked(const BlockId& b, NodeId node) REQUIRES(mu_);
+  std::optional<std::uint64_t> begin_forward_locked(const BlockId& b,
+                                                    NodeId from) REQUIRES(mu_);
+  bool claim_forwarded_locked(const BlockId& b, NodeId to, NodeId from,
+                              std::uint64_t epoch) REQUIRES(mu_);
+  void forward_rejected_locked(const BlockId& b, NodeId from) REQUIRES(mu_);
+  NodeId write_claim_locked(const BlockId& b, NodeId writer) REQUIRES(mu_);
+  void write_begin_locked(FileId file) REQUIRES(mu_);
+  void write_end_locked(FileId file) REQUIRES(mu_);
+  void invalidate_file_locked(FileId file) REQUIRES(mu_);
+  std::size_t purge_node_locked(NodeId node) REQUIRES(mu_);
   std::uint64_t file_epoch_locked(FileId file) const REQUIRES(mu_);
 
   // Test-only state corruption (audit tests).

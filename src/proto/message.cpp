@@ -1,6 +1,5 @@
 #include "proto/message.hpp"
 
-#include <cassert>
 #include <cstring>
 
 namespace coop::proto {
@@ -42,45 +41,6 @@ std::uint64_t get_u64(const std::byte* p) {
 }
 
 }  // namespace
-
-Message Message::block_lookup(NodeId from, const BlockId& b) {
-  Message m;
-  m.kind = MsgKind::kBlockLookup;
-  m.from = from;
-  m.block = b;
-  return m;
-}
-
-Message Message::lookup_reply(NodeId to, const BlockId& b, NodeId master,
-                              bool misdirected) {
-  Message m;
-  m.kind = MsgKind::kBlockLookupReply;
-  m.from = master;  // by convention the reply names the master holder
-  m.to = to;
-  m.block = b;
-  if (misdirected) m.flags |= kFlagMisdirected;
-  if (master != cache::kInvalidNode) m.flags |= kFlagHit;
-  return m;
-}
-
-Message Message::master_claim(NodeId from, const BlockId& b) {
-  Message m;
-  m.kind = MsgKind::kMasterClaim;
-  m.from = from;
-  m.block = b;
-  return m;
-}
-
-Message Message::claim_reply(NodeId to, const BlockId& b, bool granted,
-                             NodeId holder) {
-  Message m;
-  m.kind = MsgKind::kMasterClaimReply;
-  m.from = holder;
-  m.to = to;
-  m.block = b;
-  if (granted) m.flags |= kFlagGranted;
-  return m;
-}
 
 Message Message::peer_fetch(NodeId from, NodeId to, const BlockId& b,
                             bool misdirected) {
@@ -164,14 +124,6 @@ Message Message::forward_ack(NodeId from, NodeId to, const BlockId& b,
   return m;
 }
 
-Message Message::eviction_notice(NodeId from, const BlockId& b) {
-  Message m;
-  m.kind = MsgKind::kEvictionNotice;
-  m.from = from;
-  m.block = b;
-  return m;
-}
-
 Message Message::invalidate_file(NodeId from, NodeId to, FileId file,
                                  std::uint32_t blocks) {
   Message m;
@@ -224,53 +176,6 @@ Message Message::write_ownership_reply(NodeId from, NodeId to, const BlockId& b,
   return m;
 }
 
-Message Message::dir_request(MsgKind kind, NodeId from, NodeId home,
-                             const BlockId& b) {
-  Message m;
-  m.kind = kind;
-  m.from = from;
-  m.to = home;
-  m.block = b;
-  return m;
-}
-
-Message Message::dir_claim_forwarded(NodeId from, NodeId home,
-                                     const BlockId& b, NodeId forwarder,
-                                     std::uint64_t epoch) {
-  Message m;
-  m.kind = MsgKind::kDirClaimForwarded;
-  m.from = from;
-  m.to = home;
-  m.block = b;
-  m.count = forwarder;  // the forwarding node, credited as hint observer
-  m.age = epoch;
-  return m;
-}
-
-Message Message::dir_file_request(MsgKind kind, NodeId from, NodeId home,
-                                  FileId file) {
-  Message m;
-  m.kind = kind;
-  m.from = from;
-  m.to = home;
-  m.block = BlockId{file, 0};
-  return m;
-}
-
-Message Message::dir_reply(NodeId home, NodeId to, const BlockId& b,
-                           NodeId result, std::uint64_t epoch,
-                           bool granted) {
-  Message m;
-  m.kind = MsgKind::kDirReply;
-  m.from = home;
-  m.to = to;
-  m.block = b;
-  m.count = result;
-  m.age = epoch;
-  if (granted) m.flags |= kFlagGranted;
-  return m;
-}
-
 Message Message::dir_batch_request(NodeId from, NodeId home,
                                    std::uint32_t items, std::uint64_t bytes) {
   Message m;
@@ -291,17 +196,6 @@ Message Message::dir_batch_reply(NodeId home, NodeId to, std::uint32_t items,
   m.count = items;
   m.bytes = bytes;
   return m;
-}
-
-NodeId Message::dir_result() const {
-  // The widening convention only works while NodeId fits in `count`; batch
-  // replies carry NodeIds in the payload instead and must never come here.
-  static_assert(sizeof(NodeId) < sizeof(std::uint32_t),
-                "kDirReply widens the result NodeId into `count`");
-  assert(kind == MsgKind::kDirReply &&
-         "dir_result() is the singles kDirReply convention; kDirBatchReply "
-         "results live in the payload");
-  return static_cast<NodeId>(count);
 }
 
 Message Message::storage_read(NodeId from, NodeId home, FileId file,
@@ -368,15 +262,6 @@ Message Message::barrier_reply(NodeId home, NodeId to, std::uint32_t phase,
   return m;
 }
 
-Message Message::dir_purge_node(NodeId from, NodeId home, NodeId node) {
-  Message m;
-  m.kind = MsgKind::kDirPurgeNode;
-  m.from = from;
-  m.to = home;
-  m.count = node;
-  return m;
-}
-
 Message Message::stats_pull(NodeId from, NodeId to) {
   Message m;
   m.kind = MsgKind::kStatsPull;
@@ -396,13 +281,10 @@ Message Message::stats_reply(NodeId from, NodeId to, std::uint64_t bytes) {
 
 bool is_reply(MsgKind kind) {
   switch (kind) {
-    case MsgKind::kBlockLookupReply:
-    case MsgKind::kMasterClaimReply:
     case MsgKind::kPeerFetchReply:
     case MsgKind::kMasterForwardAck:
     case MsgKind::kInvalidateAck:
     case MsgKind::kWriteOwnershipReply:
-    case MsgKind::kDirReply:
     case MsgKind::kStorageData:
     case MsgKind::kStorageAck:
     case MsgKind::kBarrierReply:
@@ -416,10 +298,6 @@ bool is_reply(MsgKind kind) {
 
 const char* kind_name(MsgKind kind) {
   switch (kind) {
-    case MsgKind::kBlockLookup: return "block-lookup";
-    case MsgKind::kBlockLookupReply: return "block-lookup-reply";
-    case MsgKind::kMasterClaim: return "master-claim";
-    case MsgKind::kMasterClaimReply: return "master-claim-reply";
     case MsgKind::kPeerFetch: return "peer-fetch";
     case MsgKind::kPeerFetchReply: return "peer-fetch-reply";
     case MsgKind::kRedirect: return "redirect";
@@ -427,27 +305,17 @@ const char* kind_name(MsgKind kind) {
     case MsgKind::kBlockData: return "block-data";
     case MsgKind::kMasterForward: return "master-forward";
     case MsgKind::kMasterForwardAck: return "master-forward-ack";
-    case MsgKind::kEvictionNotice: return "eviction-notice";
     case MsgKind::kInvalidateFile: return "invalidate-file";
     case MsgKind::kInvalidateBlock: return "invalidate-block";
     case MsgKind::kInvalidateAck: return "invalidate-ack";
     case MsgKind::kWriteOwnership: return "write-ownership";
     case MsgKind::kWriteOwnershipReply: return "write-ownership-reply";
-    case MsgKind::kDirBeginForward: return "dir-begin-forward";
-    case MsgKind::kDirClaimForwarded: return "dir-claim-forwarded";
-    case MsgKind::kDirForwardRejected: return "dir-forward-rejected";
-    case MsgKind::kDirWriteClaim: return "dir-write-claim";
-    case MsgKind::kDirWriteBegin: return "dir-write-begin";
-    case MsgKind::kDirWriteEnd: return "dir-write-end";
-    case MsgKind::kDirInvalidateFile: return "dir-invalidate-file";
-    case MsgKind::kDirReply: return "dir-reply";
     case MsgKind::kStorageRead: return "storage-read";
     case MsgKind::kStorageData: return "storage-data";
     case MsgKind::kStorageWrite: return "storage-write";
     case MsgKind::kStorageAck: return "storage-ack";
     case MsgKind::kBarrier: return "barrier";
     case MsgKind::kBarrierReply: return "barrier-reply";
-    case MsgKind::kDirPurgeNode: return "dir-purge-node";
     case MsgKind::kStatsPull: return "stats-pull";
     case MsgKind::kStatsReply: return "stats-reply";
     case MsgKind::kDirBatchRequest: return "dir-batch-request";

@@ -4,11 +4,10 @@
 // Both execution paths speak this protocol. The event-driven simulator
 // (server::CcmServer) *emits* the messages an access plan implies and charges
 // each one with the paper's Table-1 latencies; the threaded runtime
-// (ccm::CcmCluster) *transports* the same messages between per-node protocol
-// threads through Mailbox<proto::Message> envelopes. Keeping one message
-// vocabulary is what makes the two provably the same protocol — and is the
-// seam where a socket transport, fault injection, or dropped-hint scenarios
-// plug in later.
+// (ccm::CcmCluster) *sends* the same messages through a net::Transport — in
+// process or over TCP, with fault injection as a decorator — each wrapped in
+// a net::Envelope that carries any payload bytes. Keeping one message
+// vocabulary is what makes the two provably the same protocol.
 //
 // Messages are a flat POD (not a variant): every kind uses a subset of the
 // same fields, which keeps them trivially copyable, mailbox-friendly, and
@@ -31,38 +30,18 @@ using cache::FileId;
 using cache::NodeId;
 
 enum class MsgKind : std::uint8_t {
-  kBlockLookup = 0,       // requester -> directory: who holds the master?
-  kBlockLookupReply,      // directory -> requester: master node (or none)
-  kMasterClaim,           // requester -> directory: claim mastership if free
-  kMasterClaimReply,      // directory -> requester: granted / current holder
-  kPeerFetch,             // requester -> master holder: send me a copy
+  kPeerFetch = 0,         // requester -> master holder: send me a copy
   kPeerFetchReply,        // holder -> requester: block bytes (or a miss)
   kRedirect,              // stale-hint hop: probed node bounces the request
   kHomeRead,              // requester -> home node: read blocks from disk
   kBlockData,             // home -> requester: disk blocks shipped over
   kMasterForward,         // evicting node -> target: adopt this master
   kMasterForwardAck,      // target -> evicting node: accepted / rejected
-  kEvictionNotice,        // node -> directory: a master was dropped
   kInvalidateFile,        // writer/API -> node: drop every block of a file
   kInvalidateBlock,       // writer -> node: drop one block (copy or master)
   kInvalidateAck,         // node -> writer
   kWriteOwnership,        // writer -> master holder: relinquish + send bytes
   kWriteOwnershipReply,   // holder -> writer: bytes attached / already gone
-
-  // Remote-directory RPCs (multi-process clusters only). The DirectoryService
-  // lives in the process hosting node 0; every other process reaches it with
-  // these requests, all answered by a single generic kDirReply correlated by
-  // the transport's sequence number. Lookups, claims, master drops and
-  // cache validations travel as kDirBatchRequest items instead (a single op
-  // is a batch of one).
-  kDirBeginForward,       // node -> home: begin_forward(block, from)
-  kDirClaimForwarded,     // node -> home: claim_forwarded(block, from, ...)
-  kDirForwardRejected,    // node -> home: forward_rejected(block, from)
-  kDirWriteClaim,         // node -> home: write_claim(block, from)
-  kDirWriteBegin,         // node -> home: write_begin(file)
-  kDirWriteEnd,           // node -> home: write_end(file)
-  kDirInvalidateFile,     // node -> home: invalidate_file(file) epoch fence
-  kDirReply,              // home -> node: generic directory answer
 
   // Remote-storage RPCs (the backing store also lives at node 0's process).
   kStorageRead,           // node -> home: read [offset, offset+len) of file
@@ -75,20 +54,17 @@ enum class MsgKind : std::uint8_t {
   kBarrier,               // node -> home: I reached phase `count`
   kBarrierReply,          // home -> node: granted once every node reached it
 
-  // Recovery: fence a crashed node out of the directory. Answered by
-  // kDirReply; `count` carries the dead node's id.
-  kDirPurgeNode,          // survivor -> home: purge_node(node)
-
   // Runtime telemetry scrape: any node can pull a peer process's metrics
   // snapshot (obs::MetricsSnapshot, binary-encoded in the reply payload) and
   // merge the cluster-wide view (tools/ccm_metrics, ccm_node --scrape-out).
   kStatsPull,             // scraper -> node: send me your metrics snapshot
   kStatsReply,            // node -> scraper: encoded snapshot (payload)
 
-  // Batched directory ops (proto/dir_batch.hpp): a length-prefixed vector of
-  // per-block directory requests rides in the envelope payload, answered by
-  // one reply whose payload carries a result per item. One RPC and one
-  // directory-lock acquisition amortize over the whole batch.
+  // Remote-directory RPCs (multi-process clusters only; proto/dir_batch.hpp).
+  // The DirectoryService lives in the home process; every other process
+  // reaches it with one message: a length-prefixed vector of directory ops
+  // in the envelope payload, answered by one reply whose payload carries a
+  // result per item. A single op is a batch of one.
   kDirBatchRequest,       // node -> home: payload = encoded DirBatchItem[]
   kDirBatchReply,         // home -> node: payload = encoded DirBatchResult[]
 };
@@ -107,7 +83,7 @@ inline constexpr std::uint8_t kFlagTransferred = 1u << 5;  // ownership moved
 inline constexpr std::uint8_t kFlagGranted = 1u << 6;      // claim succeeded
 
 struct Message {
-  MsgKind kind = MsgKind::kBlockLookup;
+  MsgKind kind = MsgKind::kPeerFetch;
   NodeId from = cache::kInvalidNode;
   NodeId to = cache::kInvalidNode;
   BlockId block{0, 0};
@@ -137,12 +113,6 @@ struct Message {
   friend bool operator==(const Message&, const Message&) = default;
 
   // ---- named constructors (the only places field conventions live) ----
-  static Message block_lookup(NodeId from, const BlockId& b);
-  static Message lookup_reply(NodeId to, const BlockId& b, NodeId master,
-                              bool misdirected);
-  static Message master_claim(NodeId from, const BlockId& b);
-  static Message claim_reply(NodeId to, const BlockId& b, bool granted,
-                             NodeId holder);
   static Message peer_fetch(NodeId from, NodeId to, const BlockId& b,
                             bool misdirected);
   static Message peer_fetch_reply(NodeId from, NodeId to, const BlockId& b,
@@ -157,7 +127,6 @@ struct Message {
                                 std::uint64_t bytes);
   static Message forward_ack(NodeId from, NodeId to, const BlockId& b,
                              bool accepted, bool promoted);
-  static Message eviction_notice(NodeId from, const BlockId& b);
   static Message invalidate_file(NodeId from, NodeId to, FileId file,
                                  std::uint32_t blocks);
   static Message invalidate_block(NodeId from, NodeId to, const BlockId& b,
@@ -168,32 +137,13 @@ struct Message {
                                        const BlockId& b, bool transferred,
                                        std::uint64_t bytes);
 
-  // Remote-directory RPCs. `home` is the directory-hosting node (node 0 in
-  // the loopback cluster). Field conventions for kDirReply: `count` carries a
-  // result NodeId (kInvalidNode widened to 32 bits when absent), `age`
-  // carries an epoch, kFlagGranted reports boolean outcomes.
-  static Message dir_request(MsgKind kind, NodeId from, NodeId home,
-                             const BlockId& b);
-  static Message dir_claim_forwarded(NodeId from, NodeId home,
-                                     const BlockId& b, NodeId forwarder,
-                                     std::uint64_t epoch);
-  static Message dir_file_request(MsgKind kind, NodeId from, NodeId home,
-                                  FileId file);
-  static Message dir_reply(NodeId home, NodeId to, const BlockId& b,
-                           NodeId result, std::uint64_t epoch, bool granted);
-
-  // Batched directory ops: `count` is the item count, `bytes` the encoded
-  // payload length (dir_batch.hpp defines the payload layout).
+  // Directory ops: `home` is the directory-hosting node (node 0 in the
+  // loopback cluster), `count` the item count, `bytes` the encoded payload
+  // length (dir_batch.hpp defines the payload layout).
   static Message dir_batch_request(NodeId from, NodeId home,
                                    std::uint32_t items, std::uint64_t bytes);
   static Message dir_batch_reply(NodeId home, NodeId to, std::uint32_t items,
                                  std::uint64_t bytes);
-
-  /// The result NodeId a singles kDirReply carries in `count` (kInvalidNode
-  /// widened to 32 bits when absent). kDirBatchReply carries its per-item
-  /// results in the payload, never here — this accessor asserts the kind so
-  /// batch replies can't silently be read as a node id through `count`.
-  [[nodiscard]] NodeId dir_result() const;
 
   // Remote-storage RPCs: `age` carries the byte offset, `bytes` the length.
   static Message storage_read(NodeId from, NodeId home, FileId file,
@@ -208,10 +158,6 @@ struct Message {
   static Message barrier(NodeId from, NodeId home, std::uint32_t phase);
   static Message barrier_reply(NodeId home, NodeId to, std::uint32_t phase,
                                bool granted);
-
-  /// Crash recovery: evict every directory entry mastered by `node` and
-  /// epoch-fence the files it touched (see DirectoryService::purge_node).
-  static Message dir_purge_node(NodeId from, NodeId home, NodeId node);
 
   // Telemetry scrape: the reply's `bytes` is the encoded snapshot length
   // (the snapshot itself rides in the envelope payload).

@@ -269,19 +269,6 @@ TEST(CcmCluster, RandomRangeReadsAreByteExact) {
   EXPECT_TRUE(cluster.check_consistency());
 }
 
-TEST(CcmCluster, AsyncReadsResolve) {
-  auto storage = std::make_shared<MemStorage>(make_sizes(10));
-  CcmCluster cluster(small_config(2, 32), storage);
-  std::vector<std::future<std::vector<std::byte>>> futures;
-  for (cache::FileId f = 0; f < 10; ++f) {
-    futures.push_back(cluster.read_async(static_cast<cache::NodeId>(f % 2), f));
-  }
-  for (cache::FileId f = 0; f < 10; ++f) {
-    const auto data = futures[f].get();
-    EXPECT_TRUE(matches_storage(data, f));
-  }
-}
-
 /// MemStorage whose reads of `gated` park until open() — lets a test hold
 /// one op inside execute_read at a known point.
 class GatedStorage final : public Storage {
@@ -343,30 +330,6 @@ TEST(CcmCluster, AdmissionBoundsOpsPerNode) {
   second.join();
   EXPECT_EQ(read_ops(cluster), 3u);
   EXPECT_TRUE(cluster.check_consistency());
-}
-
-TEST(CcmCluster, DestructorWaitsForOutstandingAsyncReads) {
-  auto storage = std::make_shared<GatedStorage>(make_sizes(8), 0);
-  CcmConfig cfg = small_config(2, 32);
-  cfg.workers_per_node = 1;
-  auto cluster = std::make_unique<CcmCluster>(cfg, storage);
-  std::vector<std::future<std::vector<std::byte>>> futures;
-  for (cache::FileId f = 0; f < 8; ++f) {
-    futures.push_back(cluster->read_async(static_cast<cache::NodeId>(f % 2), f));
-  }
-  storage->wait_entered();  // file 0 holds node 0; its other reads queue
-  std::atomic<bool> opened{false};
-  std::thread opener([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    opened = true;
-    storage->open();
-  });
-  cluster.reset();  // must wait for every registered read
-  EXPECT_TRUE(opened.load());
-  opener.join();
-  for (cache::FileId f = 0; f < 8; ++f) {
-    EXPECT_TRUE(matches_storage(futures[f].get(), f));
-  }
 }
 
 TEST(CcmCluster, StatsAndReset) {

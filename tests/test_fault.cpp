@@ -26,6 +26,7 @@
 #include "ccm/storage.hpp"
 #include "net/fault.hpp"
 #include "net/transport.hpp"
+#include "proto/dir_batch.hpp"
 #include "proto/directory_service.hpp"
 #include "proto/message.hpp"
 #include "sim/random.hpp"
@@ -40,7 +41,7 @@ using namespace std::chrono_literals;
 TEST(FaultSchedule, ParseRoundTripsThroughToString) {
   const std::string spec =
       "drop:kind=peer-fetch,every=7;"
-      "delay:kind=dir-reply,start=2,count=9,every=3,ms=5;"
+      "delay:kind=dir-batch-reply,start=2,count=9,every=3,ms=5;"
       "duplicate:kind=invalidate-block,from=1,to=2;"
       "drop:kind=barrier,reply=1,every=5";
   const net::FaultSchedule schedule = net::FaultSchedule::parse(spec, 17);
@@ -195,6 +196,65 @@ TEST(FaultyTransport, DuplicateDeliversRequestTwice) {
   }
   EXPECT_EQ(handled, 2u);
   EXPECT_EQ(t.stats().injected_duplicates, 1u);
+}
+
+net::Envelope dir_batch_to_1(const std::vector<proto::DirBatchItem>& items) {
+  auto payload = proto::encode_dir_batch_request(0, items);
+  net::Envelope env;
+  env.msg = proto::Message::dir_batch_request(
+      0, 1, static_cast<std::uint32_t>(items.size()), payload.size());
+  env.data = net::make_ready_block(std::move(payload));
+  return env;
+}
+
+TEST(FaultyTransport, WriteOpBatchesAreNeverDuplicatedOrReplyDropped) {
+  // Rules that fire on every directory batch: a lookup batch is delivered
+  // twice and loses its reply, but a batch carrying a write op must reach
+  // the home exactly once — the rules pass it by without counting it.
+  net::FaultyTransport t(
+      std::make_shared<net::InProcTransport>(2),
+      net::FaultSchedule::parse("dup:kind=dir-batch-request;"
+                                "drop:kind=dir-batch-request,reply=1"));
+  const proto::DirBatchItem lookup{proto::DirBatchOp::kLookupRead, {1, 0}};
+  std::uint64_t handled = 0;
+  {
+    CountingEchoServer server(t);
+    EXPECT_THROW((void)t.call(dir_batch_to_1({lookup})), net::TransportError);
+    for (const auto op :
+         {proto::DirBatchOp::kWriteClaim, proto::DirBatchOp::kWriteBegin,
+          proto::DirBatchOp::kWriteEnd}) {
+      const proto::DirBatchItem write{op, {1, 0}};
+      EXPECT_NO_THROW((void)t.call(dir_batch_to_1({write})));
+      EXPECT_NO_THROW((void)t.call(dir_batch_to_1({lookup, write, lookup})));
+    }
+    EXPECT_THROW((void)t.call(dir_batch_to_1({lookup, lookup})),
+                 net::TransportError);
+    t.close();
+    handled = server.handled();
+  }
+  EXPECT_EQ(handled, 2u + 6u + 2u);
+  EXPECT_EQ(t.stats().injected_duplicates, 2u);
+  EXPECT_EQ(t.stats().injected_drops, 2u);
+  for (const net::FaultEvent& e : t.events()) {
+    EXPECT_EQ(e.occurrence, e.index / 2) << net::event_line(e);
+  }
+
+  // A request drop still applies: the batch never reached the home, so the
+  // retry sends it exactly once.
+  net::FaultyTransport dropping(
+      std::make_shared<net::InProcTransport>(2),
+      net::FaultSchedule::parse("drop:kind=dir-batch-request,count=1"));
+  {
+    CountingEchoServer server(dropping);
+    const proto::DirBatchItem claim{proto::DirBatchOp::kWriteClaim, {1, 0}};
+    net::RetryStats retries;
+    (void)net::call_with_retry(dropping, dir_batch_to_1({claim}),
+                               net::RetryPolicy{}, &retries);
+    EXPECT_EQ(retries.retries.load(), 1u);
+    dropping.close();
+    handled = server.handled();
+  }
+  EXPECT_EQ(handled, 1u);
 }
 
 TEST(FaultyTransport, ReorderReleasesParkedPostBehindTheNext) {

@@ -29,12 +29,6 @@ constexpr std::uint32_t kBlock = 8 * 1024;
 std::vector<Message> all_message_kinds() {
   const BlockId b{7, 3};
   return {
-      Message::block_lookup(1, b),
-      Message::lookup_reply(1, b, 2, /*misdirected=*/true),
-      Message::lookup_reply(1, b, cache::kInvalidNode, false),
-      Message::master_claim(0, b),
-      Message::claim_reply(0, b, /*granted=*/true, 0),
-      Message::claim_reply(0, b, /*granted=*/false, 3),
       Message::peer_fetch(0, 2, b, /*misdirected=*/true),
       Message::peer_fetch_reply(2, 0, b, /*hit=*/true, 8192),
       Message::redirect(2, 0, b),
@@ -42,12 +36,17 @@ std::vector<Message> all_message_kinds() {
       Message::block_data(1, 0, b, 4, 4 * 8192),
       Message::master_forward(0, 3, b, /*age=*/99, /*slots=*/2, 8192),
       Message::forward_ack(3, 0, b, /*accepted=*/true, /*promoted=*/true),
-      Message::eviction_notice(3, b),
       Message::invalidate_file(0, 1, b.file, 6),
       Message::invalidate_block(0, 1, b, /*drop_master=*/true),
       Message::invalidate_ack(1, 0),
       Message::write_ownership(0, 2, b),
       Message::write_ownership_reply(2, 0, b, /*transferred=*/true, 8192),
+      Message::storage_read(1, 0, b.file, /*offset=*/4096, /*length=*/512),
+      Message::storage_data(0, 1, b.file, 512),
+      Message::storage_write(1, 0, b.file, /*offset=*/0, /*bytes=*/256),
+      Message::storage_ack(0, 1, b.file),
+      Message::barrier(2, 0, /*phase=*/3),
+      Message::barrier_reply(0, 2, /*phase=*/3, /*granted=*/true),
       Message::stats_pull(1, 0),
       Message::stats_reply(0, 1, 512),
       Message::dir_batch_request(1, 0, /*items=*/3, /*bytes=*/58),
@@ -65,14 +64,14 @@ TEST(WireFormat, EveryNamedConstructorRoundTrips) {
 }
 
 TEST(WireFormat, DecodeRejectsShortInput) {
-  const WireBytes wire = encode(Message::block_lookup(0, {1, 2}));
+  const WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
   for (std::size_t len = 0; len < kWireSize; ++len) {
     EXPECT_FALSE(decode({wire.data(), len}).has_value()) << len;
   }
 }
 
 TEST(WireFormat, DecodeRejectsUnknownKind) {
-  WireBytes wire = encode(Message::block_lookup(0, {1, 2}));
+  WireBytes wire = encode(Message::peer_fetch(0, 1, {1, 2}, false));
   wire[0] = static_cast<std::byte>(kMsgKindCount);
   EXPECT_FALSE(decode(wire).has_value());
   wire[0] = static_cast<std::byte>(0xFF);
@@ -123,11 +122,43 @@ std::vector<DirBatchItem> sample_batch_items() {
       {DirBatchOp::kTryClaim, {7, 1}, 0},
       {DirBatchOp::kMasterDropped, {0xFFFF'FFFFu, 0xFFFF'FFFFu}, 0},
       {DirBatchOp::kValidate, {3, 9}, 0xDEAD'BEEF'CAFE'F00Dull},
+      {DirBatchOp::kBeginForward, {4, 2}, 0},
+      {DirBatchOp::kClaimForwarded, {4, 2}, ~0ull, 3},
+      {DirBatchOp::kForwardRejected, {4, 2}, 0, 0},
+      {DirBatchOp::kWriteClaim, {5, 7}, 0},
+      {DirBatchOp::kWriteBegin, {5, 0}, 0},
+      {DirBatchOp::kWriteEnd, {5, 0}, 0},
+      {DirBatchOp::kInvalidateFile, {6, 0}, 0},
+      {DirBatchOp::kPurgeNode, {0, 0}, 0, cache::kInvalidNode},
   };
+}
+
+TEST(DirBatchCodec, ReplaySafetyExcludesOnlyWriteOps) {
+  for (std::uint8_t raw = 0; raw < kDirBatchOpCount; ++raw) {
+    const auto op = static_cast<DirBatchOp>(raw);
+    const bool write = op == DirBatchOp::kWriteClaim ||
+                       op == DirBatchOp::kWriteBegin ||
+                       op == DirBatchOp::kWriteEnd;
+    EXPECT_EQ(replay_safe(op), !write) << "op " << int{raw};
+    const DirBatchItem lookup{DirBatchOp::kLookupRead, {1, 0}};
+    const DirBatchItem item{op, {1, 1}};
+    const std::vector<DirBatchItem> batch = {lookup, item, lookup};
+    EXPECT_EQ(dir_batch_replay_safe(encode_dir_batch_request(0, batch)),
+              !write)
+        << "op " << int{raw};
+  }
+  EXPECT_TRUE(dir_batch_replay_safe(encode_dir_batch_request(0, {})));
 }
 
 TEST(DirBatchCodec, RequestRoundTripsEveryOp) {
   const auto items = sample_batch_items();
+  std::array<bool, kDirBatchOpCount> seen{};
+  for (const DirBatchItem& it : items) {
+    seen[static_cast<std::size_t>(it.op)] = true;
+  }
+  for (std::size_t op = 0; op < seen.size(); ++op) {
+    EXPECT_TRUE(seen[op]) << "the sample misses op " << op;
+  }
   const auto wire = encode_dir_batch_request(2, items);
   EXPECT_EQ(wire.size(),
             kDirBatchRequestHeader + items.size() * kDirBatchItemWire);
@@ -648,22 +679,6 @@ TEST(DirectoryService, WriteSpanBlocksReadCachingUntilItCloses) {
   EXPECT_TRUE(dir.read_cacheable(b.file, dir.file_epoch(b.file)));
 }
 
-TEST(DirectoryService, MessageAdapterAnswersLookupAndClaim) {
-  DirectoryService dir(4, cache::DirectoryMode::kPerfect, 1);
-  const BlockId b{3, 0};
-  const Message miss = dir.handle(Message::block_lookup(1, b));
-  EXPECT_EQ(miss.kind, MsgKind::kBlockLookupReply);
-  EXPECT_FALSE(miss.has(kFlagHit));
-
-  const Message granted = dir.handle(Message::master_claim(1, b));
-  EXPECT_EQ(granted.kind, MsgKind::kMasterClaimReply);
-  EXPECT_TRUE(granted.has(kFlagGranted));
-
-  const Message hit = dir.handle(Message::block_lookup(2, b));
-  EXPECT_TRUE(hit.has(kFlagHit));
-  EXPECT_EQ(hit.from, 1);  // reply names the master holder
-}
-
 // -------------------------------------- batched vs singles equivalence ---
 
 /// Applies one batch item through the DirectoryService single-op entry
@@ -690,99 +705,153 @@ DirBatchResult apply_single(DirectoryService& dir, cache::NodeId node,
       r.epoch = dir.file_epoch(it.block.file);
       if (dir.read_cacheable(it.block.file, r.epoch)) r.flags |= kFlagGranted;
       break;
+    case DirBatchOp::kBeginForward:
+      if (const auto epoch = dir.begin_forward(it.block, node)) {
+        r.epoch = *epoch;
+        r.flags |= kFlagGranted;
+      }
+      break;
+    case DirBatchOp::kClaimForwarded:
+      if (dir.claim_forwarded(it.block, node, it.peer, it.arg)) {
+        r.flags |= kFlagGranted;
+      }
+      break;
+    case DirBatchOp::kForwardRejected:
+      dir.forward_rejected(it.block, node);
+      break;
+    case DirBatchOp::kWriteClaim:
+      r.node = dir.write_claim(it.block, node);
+      break;
+    case DirBatchOp::kWriteBegin:
+      dir.write_begin(it.block.file);
+      break;
+    case DirBatchOp::kWriteEnd:
+      dir.write_end(it.block.file);
+      break;
+    case DirBatchOp::kInvalidateFile:
+      dir.invalidate_file(it.block.file);
+      break;
+    case DirBatchOp::kPurgeNode:
+      r.epoch = dir.purge_node(it.peer);
+      break;
   }
   return r;
 }
 
 TEST(DirBatchEquivalence, BatchedScriptMatchesSinglesStateExactly) {
-  // Two directories fed the same deterministic mixed script: one through
-  // apply_batch (with every batch routed through the wire codec, the way the
-  // runtime ships it), one op at a time through the singles entry points.
-  // Every per-item result and the complete final state must be identical —
-  // the batch path is an amortization, never a semantic change.
+  // Two directories fed the same deterministic script of every op: one
+  // through apply_batch (with every batch routed through the wire codec, the
+  // way the runtime ships it), one op at a time through the singles entry
+  // points. Every per-item result and the complete final state must be
+  // identical — the batch path is an amortization, never a semantic change.
+  // Hinted mode is the one that reads claim_forwarded's forwarder (`peer`).
   constexpr std::size_t kNodes = 4;
   constexpr cache::FileId kFiles = 6;
   constexpr std::uint32_t kIndexes = 4;
-  DirectoryService batched(kNodes, cache::DirectoryMode::kPerfect, 1);
-  DirectoryService singles(kNodes, cache::DirectoryMode::kPerfect, 1);
+  for (const auto mode :
+       {cache::DirectoryMode::kPerfect, cache::DirectoryMode::kHinted}) {
+    SCOPED_TRACE(mode == cache::DirectoryMode::kPerfect ? "perfect"
+                                                         : "hinted");
+    DirectoryService batched(kNodes, mode, 1);
+    DirectoryService singles(kNodes, mode, 1);
 
-  std::vector<DirBatchItem> pending;
-  std::vector<cache::FileId> open_spans;
-  auto flush = [&](cache::NodeId node) {
-    if (pending.empty()) return;
-    const auto wire = encode_dir_batch_request(node, pending);
-    const auto req = decode_dir_batch_request(wire);
-    ASSERT_TRUE(req.has_value());
-    ASSERT_EQ(req->node, node);
-    std::vector<DirBatchResult> got;
-    batched.apply_batch(req->node, req->items, got);
-    const auto reply = decode_dir_batch_reply(encode_dir_batch_reply(got));
-    ASSERT_TRUE(reply.has_value());
-    ASSERT_EQ(reply->size(), pending.size());
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-      const DirBatchResult want = apply_single(singles, node, pending[i]);
-      EXPECT_EQ((*reply)[i], want)
-          << "item " << i << " op "
-          << static_cast<int>(pending[i].op) << " block "
-          << pending[i].block.file << "/" << pending[i].block.index;
+    std::vector<DirBatchItem> pending;
+    auto flush = [&](cache::NodeId node) {
+      if (pending.empty()) return;
+      const auto wire = encode_dir_batch_request(node, pending);
+      const auto req = decode_dir_batch_request(wire);
+      ASSERT_TRUE(req.has_value());
+      ASSERT_EQ(req->node, node);
+      ASSERT_EQ(req->items, pending);
+      std::vector<DirBatchResult> got;
+      batched.apply_batch(req->node, req->items, got);
+      const auto reply = decode_dir_batch_reply(encode_dir_batch_reply(got));
+      ASSERT_TRUE(reply.has_value());
+      ASSERT_EQ(reply->size(), pending.size());
+      for (std::size_t i = 0; i < pending.size(); ++i) {
+        const DirBatchResult want = apply_single(singles, node, pending[i]);
+        EXPECT_EQ((*reply)[i], want)
+            << "item " << i << " op " << static_cast<int>(pending[i].op)
+            << " block " << pending[i].block.file << "/"
+            << pending[i].block.index;
+      }
+      pending.clear();
+    };
+
+    // A fixed-seed LCG picks requester, op and block, so the forward ops
+    // meet blocks their issuer really holds.
+    std::uint64_t state = 42;
+    const auto pick = [&state](std::uint64_t n) {
+      state = state * 6364136223846793005ull + 1442695040888963407ull;
+      return (state >> 33) % n;
+    };
+    cache::NodeId node = 0;
+    for (int i = 0; i < 2000; ++i) {
+      if (pick(3) == 0) {
+        flush(node);  // a batch carries one requester
+        node = static_cast<cache::NodeId>(pick(kNodes));
+      }
+      // The read-side ops run most often, so masters accumulate for the
+      // forward, write and purge ops to act on.
+      const auto op = static_cast<DirBatchOp>(
+          pick(3) != 0 ? pick(4) : pick(kDirBatchOpCount));
+      DirBatchItem item{op,
+                        {static_cast<cache::FileId>(pick(kFiles)),
+                         static_cast<std::uint32_t>(pick(kIndexes))}};
+      if (op == DirBatchOp::kWriteBegin || op == DirBatchOp::kWriteEnd ||
+          op == DirBatchOp::kInvalidateFile) {
+        item.block.index = 0;
+      }
+      if (op == DirBatchOp::kClaimForwarded) {
+        // The epoch a begin_forward would have handed out, unless an
+        // earlier item of this batch moves it (then the claim is fenced).
+        item.arg = singles.file_epoch(item.block.file);
+        item.peer = static_cast<cache::NodeId>(pick(kNodes));
+      }
+      if (op == DirBatchOp::kPurgeNode) {
+        item.block = {0, 0};
+        item.peer = static_cast<cache::NodeId>(pick(kNodes));
+      }
+      pending.push_back(item);
+      if (pending.size() >= 1 + pick(8)) flush(node);
     }
-    pending.clear();
-  };
+    flush(node);
 
-  cache::NodeId node = 0;
-  for (int i = 0; i < 600; ++i) {
-    const auto next = static_cast<cache::NodeId>((i * 5 + i / 7) % kNodes);
-    if (next != node) flush(node);  // a batch carries one requester
-    node = next;
-    const BlockId b{static_cast<cache::FileId>((i * 7 + 3) % kFiles),
-                    static_cast<std::uint32_t>((i * 3) % kIndexes)};
-    pending.push_back({static_cast<DirBatchOp>(i % kDirBatchOpCount), b, 0});
-    if (pending.size() == static_cast<std::size_t>(1 + i % 8)) flush(node);
-    if (i % 31 == 0) {
-      // Write spans are not batched ops; drive them identically on both
-      // sides so epochs and in-flight write state diverge if batching leaks.
-      flush(node);
-      batched.write_begin(b.file);
-      singles.write_begin(b.file);
-      EXPECT_EQ(batched.write_claim(b, node), singles.write_claim(b, node));
-      if (i % 62 == 0) {
-        batched.write_end(b.file);
-        singles.write_end(b.file);
-      } else {
-        open_spans.push_back(b.file);  // stays open across the next batches
+    // Final state: master map, per-file epochs, census, hints, counters.
+    for (cache::FileId f = 0; f < kFiles; ++f) {
+      EXPECT_EQ(batched.file_epoch(f), singles.file_epoch(f)) << "file " << f;
+      EXPECT_EQ(batched.read_cacheable(f, batched.file_epoch(f)),
+                singles.read_cacheable(f, singles.file_epoch(f)))
+          << "file " << f;
+      for (std::uint32_t idx = 0; idx < kIndexes; ++idx) {
+        const BlockId b{f, idx};
+        EXPECT_EQ(batched.lookup(b), singles.lookup(b))
+            << "block " << f << "/" << idx;
+        EXPECT_EQ(batched.hint_truth(b), singles.hint_truth(b))
+            << "block " << f << "/" << idx;
       }
     }
-    if (i % 93 == 1 && !open_spans.empty()) {
-      flush(node);
-      batched.write_end(open_spans.back());
-      singles.write_end(open_spans.back());
-      open_spans.pop_back();
-    }
+    EXPECT_EQ(batched.master_count(), singles.master_count());
+    EXPECT_EQ(batched.hint_accuracy(), singles.hint_accuracy());
+    const auto bo = batched.ops();
+    const auto so = singles.ops();
+    EXPECT_EQ(bo.lookups, so.lookups);
+    EXPECT_EQ(bo.claims, so.claims);
+    EXPECT_EQ(bo.claim_conflicts, so.claim_conflicts);
+    EXPECT_EQ(bo.forwards_begun, so.forwards_begun);
+    EXPECT_EQ(bo.forward_claims, so.forward_claims);
+    EXPECT_EQ(bo.forward_rejects, so.forward_rejects);
+    EXPECT_EQ(bo.masters_dropped, so.masters_dropped);
+    EXPECT_EQ(bo.write_claims, so.write_claims);
+    EXPECT_EQ(bo.hint_misdirects, so.hint_misdirects);
+    EXPECT_EQ(bo.masters_purged, so.masters_purged);
+    // The script reaches every op's granted path, not just its refusals.
+    EXPECT_GT(so.forwards_begun, 0u);
+    EXPECT_GT(so.forward_claims, 0u);
+    EXPECT_GT(so.claims, 0u);
+    EXPECT_GT(so.masters_purged, 0u);
+    EXPECT_GT(so.write_claims, 0u);
   }
-  flush(node);
-  for (const cache::FileId f : open_spans) {
-    batched.write_end(f);
-    singles.write_end(f);
-  }
-
-  // Final state: master map, per-file epochs, census, and every counter.
-  for (cache::FileId f = 0; f < kFiles; ++f) {
-    EXPECT_EQ(batched.file_epoch(f), singles.file_epoch(f)) << "file " << f;
-    for (std::uint32_t idx = 0; idx < kIndexes; ++idx) {
-      const BlockId b{f, idx};
-      EXPECT_EQ(batched.lookup(b), singles.lookup(b))
-          << "block " << f << "/" << idx;
-    }
-  }
-  EXPECT_EQ(batched.master_count(), singles.master_count());
-  const auto& bo = batched.ops();
-  const auto& so = singles.ops();
-  EXPECT_EQ(bo.lookups, so.lookups);
-  EXPECT_EQ(bo.claims, so.claims);
-  EXPECT_EQ(bo.claim_conflicts, so.claim_conflicts);
-  EXPECT_EQ(bo.masters_dropped, so.masters_dropped);
-  EXPECT_EQ(bo.write_claims, so.write_claims);
-  EXPECT_EQ(bo.hint_misdirects, so.hint_misdirects);
 }
 
 }  // namespace
