@@ -81,7 +81,7 @@ namespace {
 /// Seed (all files written once) and done (all ops retired) fences.
 constexpr std::uint32_t kPhaseSeeded = 0;
 constexpr std::uint32_t kPhaseDone = 1;
-/// Post-run metrics fence: peers park here (protocol threads still serving)
+/// Post-run metrics fence: peers park here (their handlers still serving)
 /// while the home pulls every process's registry over kStatsPull.
 constexpr std::uint32_t kPhaseScraped = 2;
 

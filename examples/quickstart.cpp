@@ -24,7 +24,8 @@ int main() {
   std::vector<std::uint32_t> sizes(16, 64 * 1024);
   auto storage = std::make_shared<ccm::MemStorage>(std::move(sizes));
 
-  // 3. Start the cluster (one protocol thread per node spins up here).
+  // 3. Start the cluster. It starts no threads: peers' requests are
+  //    answered on the thread that sends them.
   ccm::CcmCluster cluster(config, storage);
 
   // 4. Read through any node; the middleware finds the bytes wherever they

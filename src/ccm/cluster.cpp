@@ -7,6 +7,7 @@
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "proto/cache_audit.hpp"
@@ -67,7 +68,7 @@ class OpSpan {
   const char* name_ = "";
 };
 
-/// RAII handler span on a protocol thread: adopts the incoming message's
+/// RAII span around one handled message: adopts the incoming message's
 /// trace identity so the slice joins the sender's trace (its parent is the
 /// sender's rpc-client span, which draws the cross-process flow arrow).
 class HandlerSpan {
@@ -160,15 +161,23 @@ CcmCluster::CcmCluster(const CcmConfig& config,
   for (const cache::NodeId n : local_nodes_) {
     shards_[n] = std::make_unique<Shard>(n, cc, config_.workers_per_node);
   }
+  // Each hosted node answers its peers through the transport, which picks
+  // the thread: the caller's own in-process, a pump thread on the pull path.
   for (const cache::NodeId n : local_nodes_) {
-    protocol_threads_.emplace_back([this, n] { protocol_loop(n); });
+    transport_->serve(n, [this, n](net::Envelope& env) {
+      HandlerSpan span(span_log_, n, env.msg);
+      Reply reply = handle_message(n, env);
+      net::Envelope out;
+      out.msg = reply.msg;
+      out.data = std::move(reply.data);
+      return out;
+    });
   }
 }
 
 CcmCluster::~CcmCluster() {
-  // Closing the transport ends the protocol loops.
-  transport_->close();
-  for (auto& t : protocol_threads_) t.join();
+  // Ends delivery to the handlers above and joins any pump threads.
+  transport_->shutdown();
 }
 
 // ----------------------------------------------------------- admission ----
@@ -192,22 +201,6 @@ CcmCluster::Shard& CcmCluster::shard_at(cache::NodeId via) const {
                                 " is hosted by another process");
   }
   return *shards_[via];
-}
-
-void CcmCluster::protocol_loop(cache::NodeId node) {
-  while (auto env = transport_->receive(node)) {
-    Reply reply;
-    {
-      HandlerSpan span(span_log_, node, env->msg);
-      reply = handle_message(node, *env);
-    }
-    if (env->seq == 0) continue;  // one-way: nobody waits for the answer
-    net::Envelope out;
-    out.msg = reply.msg;
-    out.seq = env->seq;  // correlates with the caller blocked in call()
-    out.data = std::move(reply.data);
-    transport_->post(std::move(out));
-  }
 }
 
 CcmCluster::Reply CcmCluster::rpc(const proto::Message& msg, BlockPtr data,
@@ -511,7 +504,7 @@ CcmCluster::Reply CcmCluster::handle_message(cache::NodeId self,
     default:
       // Reply kinds are routed to call() waiters by the transport; anything
       // else here is a protocol error.
-      assert(false && "unexpected message kind at a node protocol thread");
+      assert(false && "unexpected message kind at a node's handler");
       return {proto::Message::invalidate_ack(self, msg.from), nullptr};
   }
 }
@@ -565,6 +558,16 @@ void CcmCluster::make_room_locked(util::UniqueLock<util::CountingMutex>& lock,
     assert(it != sh.store.end());
     BlockPtr data = std::move(it->second);
     sh.store.erase(it);
+    if (!data->is_ready()) {
+      // Same rule as kPeerFetch: never ship bytes still being filled. The
+      // filler may be this very op (a master it claimed earlier in the same
+      // read), and a framed transport holds the frame until the fill ends —
+      // which would wait on this RPC, stalling the op for every retry's
+      // timeout. The master is dropped instead.
+      dir_->master_dropped(pf->block, node);
+      ++sh.state.stats().master_drops;
+      continue;
+    }
     const auto epoch = dir_->begin_forward(pf->block, node);
     if (!epoch) {
       // The directory refused: either a write claim overtook this eviction

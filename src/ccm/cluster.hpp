@@ -11,10 +11,11 @@
 // a DirectoryClient — a local proto::DirectoryService in-process,
 // kDirBatchRequest RPCs to the node-0 process in a multi-process cluster.
 // Cross-node traffic travels as proto::Message envelopes through a pluggable
-// net::Transport (in-process mailboxes or length-prefixed frames on TCP
-// sockets) to a dedicated protocol thread per node — the exact message
-// vocabulary the simulator charges with the paper's Table-1 latencies (see
-// docs/MIDDLEWARE.md for the correspondence).
+// net::Transport (in-process handler calls or length-prefixed frames on TCP
+// sockets) to the destination node's handler, registered with
+// Transport::serve() — the exact message vocabulary the simulator charges
+// with the paper's Table-1 latencies (see docs/MIDDLEWARE.md for the
+// correspondence).
 //
 // Concurrency model:
 //  * CCM is a library the server's own threads call: read(), read_range()
@@ -22,24 +23,39 @@
 //    anyway — there is no worker pool and no hand-off. Each hosted node
 //    admits at most CcmConfig::workers_per_node ops at once (a per-node
 //    counting semaphore); further callers via that node wait for a slot.
-//    The only runtime threads are one protocol thread per hosted node plus
-//    whatever the transport runs.
+//  * CcmCluster owns no threads. It serve()s each hosted node once and the
+//    transport decides who runs the handler: InProcTransport runs it on the
+//    RPC caller's thread, so an in-process cluster runs only its callers'
+//    threads (ccm_stress: 4 drivers + main = 5); the pull path (TcpTransport,
+//    FaultyTransport, any decorator that does not override serve()) runs a
+//    pump thread per hosted node, owned and joined by the transport.
 //  * A read that only touches blocks resident at its own node takes that
 //    node's shard lock and nothing else — no global mutex, no directory
 //    lock. Per-shard acquisition/contention counters in stats() demonstrate
 //    the isolation.
 //  * Cross-node operations (peer fetch, master forward, invalidation, write
-//    ownership transfer) are RPCs through the transport; the receiving
-//    protocol thread works under its own shard lock plus the directory (a
-//    strict shard → directory lock order, with the directory a leaf).
-//    Callers never hold a shard lock while waiting on an RPC reply. A
-//    caller waits for its admission slot holding nothing, and protocol
-//    threads never wait for one, so no wait-for cycle passes through
+//    ownership transfer) are RPCs through the transport; the handler works
+//    under the target's shard lock plus the directory (a strict shard →
+//    directory lock order, with the directory a leaf). Callers never hold a
+//    shard lock while waiting on an RPC reply, so an inline handler taking
+//    the target's shard lock cannot deadlock against its caller. Handlers
+//    never wait on a pending fill (a master still being faulted in answers a
+//    miss), which is what keeps an inline handler from waiting on work its
+//    own thread started.
+//  * Handlers take no admission slot — inline ones run inside their
+//    caller's op, which already holds one at its own node. A caller waits
+//    for its slot holding nothing, so no wait-for cycle passes through
 //    admission.
-//  * In a multi-process cluster the directory "leaf" is itself an RPC to the
-//    home process. The wait-for graph stays acyclic: only the home process
-//    hosts the directory and storage, its handlers never block on another
-//    node, so every blocking chain ends there.
+//  * Nested calls: in-process the longest chain is op → kMasterForward
+//    handler → local directory (no handler makes an RPC of its own). In a
+//    multi-process cluster it is op → the peer's pump thread (say, its
+//    kMasterForward handler) → RemoteDirectory RPC → the home's handler.
+//    Only the home process hosts the directory and storage, and its
+//    handlers never block on another node, so every blocking chain ends
+//    there.
+//  * A handler's exception propagates out of the caller's call() in
+//    process (the RPC fails like any other); on a pump thread it ends the
+//    process.
 //  * Directory claims are conditional, so racing misses/forwards/writes
 //    resolve by retry instead of blocking; a bounded retry loop falls back
 //    to an uncached storage read for liveness.
@@ -58,7 +74,6 @@
 #include <set>
 #include <span>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -148,8 +163,8 @@ class CcmCluster {
   /// RemoteStorage / RemoteDirectory proxies.
   CcmCluster(const CcmConfig& config, std::shared_ptr<Storage> storage,
              CcmHosting hosting);
-  /// Closes the transport and joins the protocol threads. Every read(),
-  /// read_range() and write() must have returned first.
+  /// Shuts the transport down (joining its pump threads, if any). Every
+  /// read(), read_range() and write() must have returned first.
   ~CcmCluster();
 
   CcmCluster(const CcmCluster&) = delete;
@@ -369,13 +384,13 @@ class CcmCluster {
     const CcmCluster& owner_;
   };
 
-  /// Protocol-thread loop for node `node` (serves peer messages). Handlers
-  /// take this node's shard lock and the directory only — they never block
-  /// on another hosted node, so cross-node request chains cannot deadlock.
-  void protocol_loop(cache::NodeId node);
+  /// Answers one peer message addressed to hosted node `self`, on whatever
+  /// thread the transport runs it. Takes `self`'s shard lock and the
+  /// directory only — never waits on another hosted node or a pending
+  /// fill, so cross-node request chains cannot deadlock.
   Reply handle_message(cache::NodeId self, net::Envelope& env);
 
-  /// Sends `msg` to its destination's protocol thread and awaits the reply.
+  /// Sends `msg` to its destination's handler and awaits the reply.
   /// Callers must not hold any shard lock.
   Reply rpc(const proto::Message& msg, BlockPtr data = nullptr,
             std::uint64_t epoch = 0);
@@ -529,8 +544,6 @@ class CcmCluster {
   util::Mutex barrier_mu_{"ccm.barrier"};
   std::map<std::uint32_t, std::set<cache::NodeId>> barrier_arrivals_
       GUARDED_BY(barrier_mu_);
-
-  std::vector<std::thread> protocol_threads_;
 };
 
 }  // namespace coop::ccm

@@ -88,6 +88,14 @@ std::size_t RemoteDirectory::purge_node_impl(cache::NodeId node) {
 
 std::vector<proto::DirBatchResult> RemoteDirectory::batch_impl(
     cache::NodeId node, std::span<const proto::DirBatchItem> items) {
+  // The home answers the batch's issuing node, so only a node this process
+  // hosts would ever see the reply.
+  if (node != local_) {
+    throw std::invalid_argument(
+        "RemoteDirectory: node " + std::to_string(node) +
+        " is not hosted here (this process hosts node " +
+        std::to_string(local_) + ")");
+  }
   std::vector<std::byte> payload = proto::encode_dir_batch_request(node, items);
   net::Envelope env;
   env.msg = proto::Message::dir_batch_request(

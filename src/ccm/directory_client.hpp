@@ -17,8 +17,8 @@
 //
 // The wait-for graph stays acyclic: RemoteDirectory calls block only on the
 // home node, and the home node's directory handlers never block on anything
-// (DirectoryService is a leaf lock with no I/O), so a protocol thread that
-// issues a remote directory RPC mid-handler cannot deadlock.
+// (DirectoryService is a leaf lock with no I/O), so a handler that issues a
+// remote directory RPC cannot deadlock.
 #pragma once
 
 #include <atomic>
@@ -264,7 +264,9 @@ class LocalDirectory final : public DirectoryClient {
 /// kDirBatchRequest RPC over the transport (a single op is a batch of one,
 /// answered by a kDirBatchReply whose payload carries the per-item results).
 /// A batch reply that does not decode to one result per item throws
-/// std::runtime_error.
+/// std::runtime_error. The home routes each reply to the op's issuing node,
+/// so an op issued for any node but `local` throws std::invalid_argument
+/// before anything is sent.
 class RemoteDirectory final : public DirectoryClient {
  public:
   /// `retry_stats` (optional, must outlive the client) accumulates the

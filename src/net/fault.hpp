@@ -17,7 +17,11 @@
 //
 // Injection happens on the send side only (post() and both phases of
 // call()); receive() passes through untouched, so a wrapped transport keeps
-// the inner delivery semantics for whatever survives the schedule.
+// the inner delivery semantics for whatever survives the schedule. The
+// decorator keeps the default serve() on purpose: a pump thread per served
+// node pulls from the inner transport's queues, so an in-process cluster
+// under a schedule still sees asynchronous delivery (an InProcTransport
+// nobody served directly keeps its mailboxes and pending-reply table).
 #pragma once
 
 #include <chrono>
@@ -106,6 +110,8 @@ std::string event_line(const FaultEvent& event);
 class FaultyTransport final : public Transport {
  public:
   FaultyTransport(std::shared_ptr<Transport> inner, FaultSchedule schedule);
+  /// Closes the inner transport and joins the pumps serve() started.
+  ~FaultyTransport() override { shutdown(); }
 
   bool post(Envelope env) override;
   std::optional<Envelope> receive(cache::NodeId node) override;

@@ -1,5 +1,6 @@
-// A bounded MPMC mailbox: the queue behind InProcTransport's per-node
-// delivery and TcpTransport's inbound queue and per-connection outboxes.
+// A bounded MPMC mailbox: the queue behind InProcTransport's pull-path
+// delivery (nodes nobody served inline) and TcpTransport's inbound queue
+// and per-connection outboxes.
 //
 // The queue state is guarded by an annotated util::Mutex (thread-safety
 // analysis + lock-order watchdog); waits go through condition_variable_any

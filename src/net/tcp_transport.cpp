@@ -110,7 +110,7 @@ TcpTransport::TcpTransport(const TcpConfig& config)
   listen_port_ = ntohs(bound.sin_port);
 }
 
-TcpTransport::~TcpTransport() { close(); }
+TcpTransport::~TcpTransport() { shutdown(); }
 
 void TcpTransport::set_summary_source(
     std::function<std::pair<std::uint64_t, bool>()> source) {

@@ -8,14 +8,15 @@
 // (net/frame.hpp).
 //
 // Threads per connection: a reader (deframes and routes — replies complete
-// pending call()s, requests land in the inbound mailbox the protocol thread
-// drains) and a writer draining a bounded outbox. The writer batches: it
-// sleeps until the outbox is non-empty, then drains everything queued into
-// ONE buffer and one write syscall — control messages that arrive while a
-// flush is in flight coalesce into the next one, amortizing syscalls under
-// load without adding idle latency. Outbox enqueues use the deadline-bounded
-// Mailbox::send_for as backpressure: a peer that stays stalled past the
-// deadline is dropped rather than wedging the sender.
+// pending call()s, requests land in the inbound mailbox that the default
+// serve()'s pump thread drains) and a writer draining a bounded outbox.
+// The writer batches: it sleeps until the outbox is non-empty, then drains
+// everything queued into ONE buffer and one write syscall — control
+// messages that arrive while a flush is in flight coalesce into the next
+// one, amortizing syscalls under load without adding idle latency. Outbox
+// enqueues use the deadline-bounded Mailbox::send_for as backpressure: a
+// peer that stays stalled past the deadline is dropped rather than wedging
+// the sender.
 //
 // Failure model: a malformed frame, a mid-frame EOF, or a stalled outbox
 // drops that connection; RPCs pending against the dead peer fail promptly
@@ -156,7 +157,7 @@ class TcpTransport final : public Transport {
   std::function<std::pair<std::uint64_t, bool>()> summary_;
 
   // Connections table, pending calls, counters. Ordered after the shard
-  // locks (a protocol thread RPCs through here with its shard held) and
+  // locks (a pump thread RPCs through here with its shard held) and
   // before the outbox mailbox locks; never held across a blocking send,
   // a join, or a syscall.
   mutable util::Mutex mu_{"net.tcp.state"};

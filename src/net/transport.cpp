@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "proto/dir_batch.hpp"
+
 namespace coop::net {
 
 // The telemetry registry indexes RPC slots by the raw kind byte; make sure
@@ -12,6 +14,34 @@ namespace coop::net {
 // obs layer meets the protocol).
 static_assert(proto::kMsgKindCount <= obs::kMaxRpcKinds,
               "obs::kMaxRpcKinds must cover every proto::MsgKind");
+
+Transport::~Transport() { join_pumps(); }
+
+void Transport::serve(cache::NodeId node, Handler handler) {
+  util::ScopedLock lock(pumps_mu_);
+  pumps_.emplace_back([this, node, handler = std::move(handler)] {
+    while (auto env = receive(node)) {
+      Envelope reply = handler(*env);
+      if (env->seq == 0) continue;  // one-way: nobody waits for the answer
+      reply.seq = env->seq;  // correlates with the caller blocked in call()
+      post(std::move(reply));
+    }
+  });
+}
+
+void Transport::shutdown() {
+  close();
+  join_pumps();
+}
+
+void Transport::join_pumps() {
+  std::vector<std::thread> pumps;
+  {
+    util::ScopedLock lock(pumps_mu_);
+    pumps.swap(pumps_);
+  }
+  for (auto& t : pumps) t.join();
+}
 
 Envelope Transport::call(Envelope env) {
   auto* m = metrics_.load(std::memory_order_acquire);
@@ -30,6 +60,20 @@ Envelope Transport::call(Envelope env) {
   }
 }
 
+namespace {
+
+/// May `env` be delivered twice? Only a directory batch carrying a write op
+/// may not (proto::replay_safe).
+bool replayable(const Envelope& env) {
+  if (env.msg.kind != proto::MsgKind::kDirBatchRequest || !env.data) {
+    return true;
+  }
+  env.data->wait_ready();  // built complete by RemoteDirectory
+  return proto::dir_batch_replay_safe(env.data->bytes);
+}
+
+}  // namespace
+
 Envelope call_with_retry(Transport& transport, const Envelope& env,
                          const RetryPolicy& policy,
                          RetryStats* retry_stats) {
@@ -41,7 +85,12 @@ Envelope call_with_retry(Transport& transport, const Envelope& env,
       // re-sends stay cheap).
       return transport.call(env);
     } catch (const TransportError& e) {
-      if (!e.transient() || attempt >= policy.attempts) {
+      // Only an injected drop is known to precede delivery; after any other
+      // failure the peer may have applied the request already.
+      const bool resend =
+          e.transient() && attempt < policy.attempts &&
+          (e.kind() == TransportError::Kind::kInjected || replayable(env));
+      if (!resend) {
         if (retry_stats != nullptr) {
           retry_stats->failures.fetch_add(1, std::memory_order_relaxed);
         }
@@ -64,7 +113,8 @@ Envelope call_with_retry(Transport& transport, const Envelope& env,
 
 InProcTransport::InProcTransport(std::size_t nodes, std::size_t capacity,
                                  std::chrono::milliseconds call_timeout)
-    : call_timeout_(call_timeout) {
+    : call_timeout_(call_timeout),
+      served_(std::make_unique<std::atomic<const Handler*>[]>(nodes)) {
   if (nodes == 0) throw std::invalid_argument("InProcTransport: 0 nodes");
   mailboxes_.reserve(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {
@@ -73,11 +123,44 @@ InProcTransport::InProcTransport(std::size_t nodes, std::size_t capacity,
   }
 }
 
+void InProcTransport::serve(cache::NodeId node, Handler handler) {
+  if (node >= mailboxes_.size()) {
+    throw std::invalid_argument("InProcTransport: bad local node");
+  }
+  util::ScopedLock lock(mu_);
+  if (served(node) != nullptr) {
+    throw std::logic_error("InProcTransport: node " + std::to_string(node) +
+                           " is already served");
+  }
+  handlers_.push_back(std::make_unique<Handler>(std::move(handler)));
+  served_[node].store(handlers_.back().get(), std::memory_order_release);
+}
+
 Envelope InProcTransport::call_impl(Envelope env) {
+  if (env.msg.to >= mailboxes_.size()) {
+    throw std::invalid_argument("InProcTransport: bad destination node");
+  }
+  const Handler* handler = served(env.msg.to);
+  if (handler == nullptr) return call_pulled(std::move(env));
+  if (closed_.load(std::memory_order_acquire)) {
+    throw TransportError(TransportError::Kind::kShutdown,
+                         "transport is shut down");
+  }
+  // The destination's handler runs right here, on the caller's thread: the
+  // request and its reply each count as one envelope sent and received.
+  Envelope reply = (*handler)(env);
+  assert(reply.msg.bytes == 0 || reply.data != nullptr);
+  sent_.fetch_add(2, std::memory_order_relaxed);
+  received_.fetch_add(2, std::memory_order_relaxed);
+  rpcs_.fetch_add(1, std::memory_order_relaxed);
+  return reply;
+}
+
+Envelope InProcTransport::call_pulled(Envelope env) {
   auto pending = std::make_shared<PendingCall>();
   {
     util::ScopedLock lock(mu_);
-    if (closed_) {
+    if (closed_.load(std::memory_order_relaxed)) {
       throw TransportError(TransportError::Kind::kShutdown,
                            "transport is shut down");
     }
@@ -93,11 +176,11 @@ Envelope InProcTransport::call_impl(Envelope env) {
   }
   const auto deadline = std::chrono::steady_clock::now() + call_timeout_;
   util::UniqueLock lock(mu_);
-  while (!pending->done && !closed_) {
+  while (!pending->done && !closed_.load(std::memory_order_relaxed)) {
     if (pending->cv.wait_until(lock, deadline) == std::cv_status::timeout &&
         !pending->done) {
       pending_.erase(seq);
-      ++stats_.rpc_timeouts;
+      rpc_timeouts_.fetch_add(1, std::memory_order_relaxed);
       throw TransportError(TransportError::Kind::kTimeout,
                            "call timed out after " +
                                std::to_string(call_timeout_.count()) + " ms");
@@ -108,7 +191,7 @@ Envelope InProcTransport::call_impl(Envelope env) {
     throw TransportError(TransportError::Kind::kShutdown,
                          "transport is shut down");
   }
-  ++stats_.rpcs;
+  rpcs_.fetch_add(1, std::memory_order_relaxed);
   return std::move(pending->reply);
 }
 
@@ -117,18 +200,17 @@ bool InProcTransport::post(Envelope env) {
     throw std::invalid_argument("InProcTransport: bad destination node");
   }
   // Zero-copy contract: a payload-bearing envelope always carries its bytes
-  // as a shared BlockPtr moved through the mailbox — never a fresh buffer
-  // cloned from the sender's copy (stats_.payload_copies stays 0 by
-  // construction on this path).
+  // as a shared BlockPtr handed over as is — never a fresh buffer cloned
+  // from the sender's copy (payload_copies stays 0 by construction here).
   assert(env.msg.bytes == 0 || env.data != nullptr);
+  sent_.fetch_add(1, std::memory_order_relaxed);
   if (proto::is_reply(env.msg.kind) && env.seq != 0) {
-    // Complete the caller blocked in call() directly — replies never take
-    // the mailbox hop.
+    // Complete the caller blocked in call_pulled() directly — replies never
+    // take the mailbox hop.
     std::shared_ptr<PendingCall> pending;
     {
       util::ScopedLock lock(mu_);
-      ++stats_.sent;
-      ++stats_.received;
+      received_.fetch_add(1, std::memory_order_relaxed);
       const auto it = pending_.find(env.seq);
       if (it == pending_.end()) return false;  // caller gave up (shutdown)
       pending = it->second;
@@ -139,13 +221,14 @@ bool InProcTransport::post(Envelope env) {
     pending->cv.notify_all();
     return true;
   }
-  {
-    util::ScopedLock lock(mu_);
-    ++stats_.sent;
+  if (const Handler* handler = served(env.msg.to)) {
+    if (closed_.load(std::memory_order_acquire)) return false;
+    received_.fetch_add(1, std::memory_order_relaxed);
+    (void)(*handler)(env);  // one-way: the reply is nobody's
+    return true;
   }
   if (!mailboxes_[env.msg.to]->send(std::move(env))) return false;
-  util::ScopedLock lock(mu_);
-  ++stats_.received;
+  received_.fetch_add(1, std::memory_order_relaxed);
   return true;
 }
 
@@ -153,20 +236,28 @@ std::optional<Envelope> InProcTransport::receive(cache::NodeId node) {
   if (node >= mailboxes_.size()) {
     throw std::invalid_argument("InProcTransport: bad local node");
   }
+  if (served(node) != nullptr) {
+    throw std::logic_error("InProcTransport: node " + std::to_string(node) +
+                           " is served inline; there is nothing to receive");
+  }
   return mailboxes_[node]->receive();
 }
 
 void InProcTransport::close() {
   for (auto& mb : mailboxes_) mb->close();
   util::ScopedLock lock(mu_);
-  closed_ = true;
+  closed_.store(true, std::memory_order_release);
   for (auto& [seq, pending] : pending_) pending->cv.notify_all();
   pending_.clear();
 }
 
 TransportStats InProcTransport::stats() const {
-  util::ScopedLock lock(mu_);
-  return stats_;
+  TransportStats s;
+  s.sent = sent_.load(std::memory_order_relaxed);
+  s.received = received_.load(std::memory_order_relaxed);
+  s.rpcs = rpcs_.load(std::memory_order_relaxed);
+  s.rpc_timeouts = rpc_timeouts_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace coop::net

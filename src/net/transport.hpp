@@ -1,34 +1,48 @@
 // The pluggable node-to-node transport behind the middleware runtime.
 //
 // CcmCluster speaks only this interface: ops issue blocking RPCs with call()
-// on their callers' threads, protocol threads pull requests with receive()
-// and answer with post(). Two implementations exist:
+// on their callers' threads, and each hosted node registers the handler that
+// answers its requests with serve(). Which thread runs a handler is the
+// transport's choice:
 //
-//  * InProcTransport — every node lives in this process; delivery is a
-//    Mailbox<Envelope> hop and payloads are shared by pointer. This is the
-//    original runtime path, unchanged in cost.
+//  * InProcTransport — every node lives in this process. A served node's
+//    handler runs on the thread that call()s or post()s to it: no queue, no
+//    wake-up, no pending-reply table, and payloads are shared by pointer.
 //  * TcpTransport (tcp_transport.hpp) — this process hosts one node; peers
 //    are separate processes reached over length-prefixed frames on real
 //    sockets (127.0.0.1 in the loopback cluster, anything routable in
-//    general).
+//    general). It keeps the default serve(): a pump thread per served node.
 //
-// Reply routing is the transport's job: an envelope whose kind satisfies
-// proto::is_reply() completes the pending call() with the matching seq and
-// is never surfaced through receive(). That keeps protocol threads free to
-// block on their own outbound RPCs (a remote directory claim, say) while
-// replies for them arrive — the receive path and the wait path never share a
-// thread.
+// The default serve() is the pull path every transport can fall back on:
+// one pump thread per served node loops on receive(), runs the handler and
+// post()s the reply; the transport owns the pumps and shutdown() joins them.
+// A decorator that overrides receive()/post() but not serve() (the fault
+// layer, a timing wrapper) therefore keeps asynchronous delivery through its
+// inner transport's queues.
+//
+// Reply routing on the pull path is the transport's job: an envelope whose
+// kind satisfies proto::is_reply() completes the pending call() with the
+// matching seq and is never surfaced through receive(). That keeps pump
+// threads free to block on their own outbound RPCs (a remote directory
+// claim, say) while replies for them arrive — the receive path and the wait
+// path never share a thread.
+//
+// A handler's exception propagates to whoever runs it: out of call() (or
+// post()) on an inline transport; on a pump thread it ends the process, as
+// an escaped exception on any thread does.
 #pragma once
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "net/envelope.hpp"
@@ -110,7 +124,29 @@ struct RetryStats {
 
 class Transport {
  public:
-  virtual ~Transport() = default;
+  Transport() = default;
+  /// Joins any pump thread shutdown() has not (close() must have run).
+  virtual ~Transport();
+  // Pump threads hold `this`.
+  Transport(const Transport&) = delete;
+  Transport& operator=(const Transport&) = delete;
+
+  /// Answers one request addressed to a served node and returns the reply:
+  /// its message and payload (the transport stamps the correlation seq).
+  /// The reply to a one-way post is discarded.
+  using Handler = std::function<Envelope(Envelope& request)>;
+
+  /// Registers `handler` for the requests addressed to locally hosted node
+  /// `node` — once per node, before traffic reaches it. The transport
+  /// decides which thread runs the handler. This default starts one pump
+  /// thread for the node that loops on receive(), runs the handler, and
+  /// post()s the reply; the transport owns the pump and shutdown() joins it.
+  virtual void serve(cache::NodeId node, Handler handler);
+
+  /// close(), then joins every pump thread serve() started. Idempotent. An
+  /// owner that served nodes calls it before its handlers' state goes away
+  /// (CcmCluster's destructor does).
+  void shutdown();
 
   /// Blocking request/response: assigns a fresh seq, delivers to
   /// env.msg.to, waits for the reply. Throws TransportError when the
@@ -128,10 +164,12 @@ class Transport {
   virtual bool post(Envelope env) = 0;
 
   /// Next *request* envelope addressed to locally-hosted node `node`;
-  /// nullopt once the transport is closed and drained.
+  /// nullopt once the transport is closed and drained. The default serve()
+  /// pulls through this.
   virtual std::optional<Envelope> receive(cache::NodeId node) = 0;
 
-  /// Shuts delivery down: pending call()s fail, receive() drains then ends.
+  /// Shuts delivery down: pending call()s fail, later ones throw kShutdown,
+  /// receive() drains then ends.
   virtual void close() = 0;
 
   [[nodiscard]] virtual TransportStats stats() const = 0;
@@ -167,27 +205,43 @@ class Transport {
   virtual Envelope call_impl(Envelope env) = 0;
 
  private:
+  void join_pumps();
+
   std::atomic<obs::MetricsRegistry*> metrics_{nullptr};
+  util::Mutex pumps_mu_{"net.transport.pumps"};  // leaf
+  std::vector<std::thread> pumps_ GUARDED_BY(pumps_mu_);
 };
 
 /// Issues `env` through transport.call(), re-attempting on transient
 /// TransportErrors under `policy` (each attempt re-sends a fresh copy; the
 /// request must therefore be idempotent or tolerated as at-least-once — see
-/// docs/FAULTS.md for the per-kind analysis). Non-transient errors and
+/// docs/FAULTS.md for the per-kind analysis). A kDirBatchRequest carrying an
+/// op that must not be received twice (proto::replay_safe) is re-sent only
+/// after a failure raised before the request left (kInjected: the fault
+/// layer drops such a request but never its reply); a kTimeout or kPeerDown
+/// may follow delivery, so it surfaces at once. Non-transient errors and
 /// exhausted budgets propagate the last error after counting a failure.
 Envelope call_with_retry(Transport& transport, const Envelope& env,
                          const RetryPolicy& policy = {},
                          RetryStats* retry_stats = nullptr);
 
-/// All nodes in one process: per-node request mailboxes (the original
-/// runtime seam) plus a shared pending-reply table for call().
+/// All nodes in one process. A served node's handler runs inline on the
+/// thread that call()s or post()s to it — no runtime lock may be held
+/// across call(), and a handler must never wait on work that only its
+/// caller can finish. Nodes nobody served keep the pull path: a per-node
+/// request mailbox drained by receive() and a pending-reply table for
+/// call() (a pull-only decorator on top serves through them).
 class InProcTransport final : public Transport {
  public:
   explicit InProcTransport(
       std::size_t nodes, std::size_t capacity = 1024,
       std::chrono::milliseconds call_timeout = std::chrono::seconds(30));
 
+  /// Runs `handler` inline for every later call() or post() to `node`;
+  /// starts no thread. Throws std::logic_error if `node` is already served.
+  void serve(cache::NodeId node, Handler handler) override;
   bool post(Envelope env) override;
+  /// Pull path only: std::logic_error on a served node.
   std::optional<Envelope> receive(cache::NodeId node) override;
   void close() override;
   [[nodiscard]] TransportStats stats() const override;
@@ -204,16 +258,31 @@ class InProcTransport final : public Transport {
     Envelope reply;
   };
 
+  /// The served handler for `node`, or null on the pull path.
+  [[nodiscard]] const Handler* served(cache::NodeId node) const {
+    return served_[node].load(std::memory_order_acquire);
+  }
+  /// call() into a node nobody served: mailbox hop + pending-reply wait.
+  Envelope call_pulled(Envelope env);
+
   std::vector<std::unique_ptr<Mailbox<Envelope>>> mailboxes_;
   const std::chrono::milliseconds call_timeout_;
+  /// Per node: the handler serve() registered, published once (release);
+  /// the Handler objects live in handlers_ for the transport's lifetime.
+  std::unique_ptr<std::atomic<const Handler*>[]> served_;
+  std::atomic<bool> closed_{false};
+  // Relaxed counters: the inline path takes no lock.
+  std::atomic<std::uint64_t> sent_{0};
+  std::atomic<std::uint64_t> received_{0};
+  std::atomic<std::uint64_t> rpcs_{0};
+  std::atomic<std::uint64_t> rpc_timeouts_{0};
 
-  mutable util::Mutex mu_{"net.inproc.state"};  // pending table + counters
-  bool closed_ GUARDED_BY(mu_) = false;
+  mutable util::Mutex mu_{"net.inproc.state"};  // registry + pending table
+  std::vector<std::unique_ptr<Handler>> handlers_ GUARDED_BY(mu_);
   std::uint64_t next_seq_ GUARDED_BY(mu_) = 1;
   // std::map, not unordered: tiny, and the close() sweep iterates it.
   std::map<std::uint64_t, std::shared_ptr<PendingCall>> pending_
       GUARDED_BY(mu_);
-  TransportStats stats_ GUARDED_BY(mu_);
 };
 
 }  // namespace coop::net

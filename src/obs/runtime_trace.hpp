@@ -44,7 +44,7 @@ struct RuntimeSpan {
 };
 
 /// The ambient trace identity of the calling thread: ops set it when an
-/// operation starts, protocol threads adopt it from the incoming message.
+/// operation starts, message handlers adopt it from the incoming message.
 struct TraceContext {
   std::uint64_t trace = 0;
   std::uint64_t span = 0;

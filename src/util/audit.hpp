@@ -83,9 +83,9 @@ void report_global(const Violation& v);
 
 /// RAII collector for tests: while alive, violations are recorded instead of
 /// aborting; the previous global handler is restored on destruction.
-/// Collection is internally serialized, so worker and protocol threads may
-/// report concurrently; violations()/count()/saw() are meant for quiescent
-/// inspection after the audited operation returns.
+/// Collection is internally serialized, so ops and message handlers on any
+/// thread may report concurrently; violations()/count()/saw() are meant for
+/// quiescent inspection after the audited operation returns.
 class Recorder {
  public:
   Recorder();

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <future>
 #include <cstring>
 #include <latch>
 #include <thread>
@@ -330,6 +331,106 @@ TEST(CcmCluster, AdmissionBoundsOpsPerNode) {
   second.join();
   EXPECT_EQ(read_ops(cluster), 3u);
   EXPECT_TRUE(cluster.check_consistency());
+}
+
+TEST(CcmCluster, InlineHandlersAnswerAPendingFillWithAMiss) {
+  // Node 0 masters file 0 and parks in the storage read that fills it. An
+  // in-process handler runs on its caller's thread, so one that waited on
+  // the fill could wait on work its own thread started: a peer fetch or an
+  // ownership request for the block must answer a miss at once instead.
+  auto storage = std::make_shared<GatedStorage>(make_sizes(3), 0);
+  auto transport = std::make_shared<net::InProcTransport>(2);
+  auto dir = std::make_shared<LocalDirectory>(
+      2, cache::DirectoryMode::kPerfect,
+      cache::CoopCacheConfig{}.hint_staleness);
+  CcmHosting hosting;
+  hosting.transport = transport;
+  hosting.directory = dir;
+  CcmCluster cluster(small_config(2, 32), storage, hosting);
+  EXPECT_THROW((void)transport->receive(0), std::logic_error);  // inline
+
+  std::thread filler(
+      [&] { EXPECT_TRUE(matches_storage(cluster.read(0, 0), 0)); });
+  storage->wait_entered();
+  const cache::BlockId block{0, 0};
+  ASSERT_EQ(dir->lookup(block), 0u);
+
+  auto asks = std::async(std::launch::async, [&] {
+    net::Envelope fetch;
+    fetch.msg = proto::Message::peer_fetch(1, 0, block, false);
+    const net::Envelope fetched = transport->call(std::move(fetch));
+    EXPECT_FALSE(fetched.msg.has(proto::kFlagHit));
+    EXPECT_EQ(fetched.data, nullptr);
+
+    // A writer at node 1 claimed the block: the holder gives its master up
+    // but must not ship bytes that are still being filled.
+    EXPECT_EQ(dir->write_claim(block, 1), 0u);
+    net::Envelope own;
+    own.msg = proto::Message::write_ownership(1, 0, block);
+    const net::Envelope owned = transport->call(std::move(own));
+    EXPECT_FALSE(owned.msg.has(proto::kFlagTransferred));
+    EXPECT_EQ(owned.data, nullptr);
+    dir->master_dropped(block, 1);  // the stand-in writer never installs
+  });
+  const bool answered =
+      asks.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  storage->open();
+  filler.join();
+  asks.get();
+  EXPECT_TRUE(answered) << "a handler waited on the pending fill";
+  EXPECT_TRUE(cluster.check_consistency());
+}
+
+TEST(CcmCluster, MasterStillBeingFilledIsDroppedNotForwarded) {
+  // Node 1 caches the oldest block; node 0 masters file 0 and parks in the
+  // storage read that fills it. A second read at node 0 must evict that
+  // master. It is not the globally oldest block, so it would be forwarded —
+  // but its bytes are not there yet, and over a socket the forward would
+  // wait on the very fill it stands in front of. It is dropped instead.
+  auto storage = std::make_shared<GatedStorage>(
+      std::vector<std::uint32_t>(3, kBlock), 0);
+  CcmCluster cluster(small_config(2, 1), storage);
+  ASSERT_TRUE(matches_storage(cluster.read(1, 2), 2));
+
+  std::thread filler(
+      [&] { EXPECT_TRUE(matches_storage(cluster.read(0, 0), 0)); });
+  storage->wait_entered();
+  EXPECT_TRUE(matches_storage(cluster.read(0, 1), 1));
+  const auto snap = cluster.metrics().snapshot();
+  EXPECT_EQ(snap.rpc[static_cast<std::size_t>(proto::MsgKind::kMasterForward)]
+                .calls,
+            0u);
+  EXPECT_EQ(cluster.stats().master_drops, 1u);
+  storage->open();
+  filler.join();
+  EXPECT_TRUE(cluster.check_consistency());
+}
+
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for ([[maybe_unused]] const auto& task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    ++n;
+  }
+  return n;
+}
+
+TEST(CcmCluster, InProcessClusterStartsNoThreads) {
+  if (!std::filesystem::exists("/proc/self/task")) {
+    GTEST_SKIP() << "no /proc/self/task to count threads in";
+  }
+  const std::size_t before = live_threads();
+  const auto sizes = make_sizes(8);
+  CcmCluster cluster(small_config(4, 32), std::make_shared<MemStorage>(sizes));
+  EXPECT_EQ(live_threads(), before);
+  // Peer traffic runs on the caller's thread too.
+  for (cache::FileId f = 0; f < sizes.size(); ++f) {
+    for (cache::NodeId via = 0; via < 4; ++via) {
+      EXPECT_TRUE(matches_storage(cluster.read(via, f), f));
+    }
+  }
+  EXPECT_GT(cluster.stats().remote_hits, 0u);
+  EXPECT_EQ(live_threads(), before);
 }
 
 TEST(CcmCluster, StatsAndReset) {

@@ -395,6 +395,167 @@ TEST(InProcTransport, CallRoundtripAndStats) {
   server.join();
 }
 
+// ------------------------------------------------------ inline serving ----
+
+/// A served handler answering kBarrier with a granted barrier_reply (count
+/// echoed, plus `bump`), counting its runs and recording the thread of the
+/// last one.
+struct EchoHandler {
+  cache::NodeId node;
+  std::uint32_t bump = 0;
+  std::atomic<int> runs{0};
+  std::atomic<std::thread::id> ran_on{};
+
+  net::Transport::Handler handler() {
+    return [this](net::Envelope& req) {
+      runs.fetch_add(1);
+      ran_on.store(std::this_thread::get_id());
+      net::Envelope out;
+      out.msg = proto::Message::barrier_reply(node, req.msg.from,
+                                              req.msg.count + bump, true);
+      return out;
+    };
+  }
+};
+
+net::Envelope barrier_request(cache::NodeId from, cache::NodeId to,
+                              std::uint32_t phase) {
+  net::Envelope env;
+  env.msg = proto::Message::barrier(from, to, phase);
+  return env;
+}
+
+TEST(InProcTransport, ServedHandlerRunsOnTheCallersThread) {
+  EchoHandler echo{1};  // outlives the transport that calls it
+  net::InProcTransport t(2);
+  t.serve(1, echo.handler());
+  const net::Envelope reply = t.call(barrier_request(0, 1, 7));
+  EXPECT_EQ(reply.msg.kind, proto::MsgKind::kBarrierReply);
+  EXPECT_EQ(reply.msg.count, 7u);
+  EXPECT_EQ(echo.ran_on.load(), std::this_thread::get_id());
+  // A one-way post runs the handler inline too: it has run when post()
+  // returns.
+  ASSERT_TRUE(t.post(barrier_request(0, 1, 8)));
+  EXPECT_EQ(echo.runs.load(), 2);
+  // A served node has no queue to pull from, and is served once.
+  EXPECT_THROW((void)t.receive(1), std::logic_error);
+  EXPECT_THROW(t.serve(1, echo.handler()), std::logic_error);
+  t.close();
+}
+
+TEST(InProcTransport, HandlersNestedCallCompletes) {
+  // Node 1's handler asks node 0 before answering, on the same thread.
+  EchoHandler inner{0, /*bump=*/10};
+  net::InProcTransport t(2);
+  t.serve(0, inner.handler());
+  t.serve(1, [&](net::Envelope& req) {
+    net::Envelope out = t.call(barrier_request(1, 0, req.msg.count));
+    out.msg.to = req.msg.from;
+    return out;
+  });
+  const net::Envelope reply = t.call(barrier_request(0, 1, 5));
+  EXPECT_EQ(reply.msg.count, 15u);
+  EXPECT_EQ(inner.ran_on.load(), std::this_thread::get_id());
+  EXPECT_EQ(t.stats().rpcs, 2u);
+  t.close();
+}
+
+TEST(InProcTransport, CallAfterCloseThrowsShutdown) {
+  EchoHandler echo{1};
+  net::InProcTransport t(2);
+  t.serve(1, echo.handler());
+  t.close();
+  try {
+    (void)t.call(barrier_request(0, 1, 1));
+    ADD_FAILURE() << "a call into a closed transport must throw";
+  } catch (const net::TransportError& e) {
+    EXPECT_EQ(e.kind(), net::TransportError::Kind::kShutdown);
+  }
+  EXPECT_FALSE(t.post(barrier_request(0, 1, 2)));
+  EXPECT_EQ(echo.runs.load(), 0);
+}
+
+TEST(InProcTransport, InlineCountersAddUp) {
+  // Each round trip counts its request and its reply as sent and received;
+  // each one-way post counts once. Several callers at once: the counters
+  // are lock-free.
+  EchoHandler a{1}, b{2};
+  net::InProcTransport t(3);
+  t.serve(1, a.handler());
+  t.serve(2, b.handler());
+  constexpr int kThreads = 3, kCalls = 200, kPosts = 50;
+  std::vector<std::thread> callers;
+  for (int c = 0; c < kThreads; ++c) {
+    callers.emplace_back([&, c] {
+      const auto to = static_cast<cache::NodeId>(1 + c % 2);
+      for (int i = 0; i < kCalls; ++i) {
+        EXPECT_EQ(t.call(barrier_request(0, to, 3)).msg.count, 3u);
+      }
+      for (int i = 0; i < kPosts; ++i) {
+        EXPECT_TRUE(t.post(barrier_request(0, to, 4)));
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  const net::TransportStats s = t.stats();
+  const std::uint64_t calls = kThreads * kCalls, posts = kThreads * kPosts;
+  EXPECT_EQ(s.rpcs, calls);
+  EXPECT_EQ(s.sent, 2 * calls + posts);
+  EXPECT_EQ(s.received, 2 * calls + posts);
+  EXPECT_EQ(static_cast<std::uint64_t>(a.runs + b.runs), calls + posts);
+  t.close();
+}
+
+/// A pass-through decorator shaped like a timing wrapper: it overrides
+/// receive, post and call_impl but not serve, so it is served through the
+/// default pull path over its inner transport's queues.
+class PullOnlyDecorator final : public net::Transport {
+ public:
+  explicit PullOnlyDecorator(std::shared_ptr<net::Transport> inner)
+      : inner_(std::move(inner)) {}
+  bool post(net::Envelope env) override {
+    ++posts;
+    return inner_->post(std::move(env));
+  }
+  std::optional<net::Envelope> receive(cache::NodeId node) override {
+    auto env = inner_->receive(node);
+    if (env) ++received;
+    return env;
+  }
+  void close() override { inner_->close(); }
+  [[nodiscard]] net::TransportStats stats() const override {
+    return inner_->stats();
+  }
+  std::atomic<int> posts{0};
+  std::atomic<int> received{0};
+
+ protected:
+  net::Envelope call_impl(net::Envelope env) override {
+    return inner_->call(std::move(env));
+  }
+
+ private:
+  std::shared_ptr<net::Transport> inner_;
+};
+
+TEST(InProcTransport, PullOnlyDecoratorIsStillServed) {
+  EchoHandler echo{1};
+  PullOnlyDecorator t(std::make_shared<net::InProcTransport>(2));
+  t.serve(1, echo.handler());  // the default: a pump thread
+  const net::Envelope reply = t.call(barrier_request(0, 1, 9));
+  EXPECT_EQ(reply.msg.count, 9u);
+  // The pump pulled the request and posted the reply through the decorator.
+  EXPECT_NE(echo.ran_on.load(), std::this_thread::get_id());
+  EXPECT_EQ(t.received.load(), 1);
+  EXPECT_EQ(t.posts.load(), 1);
+  const net::TransportStats s = t.stats();
+  EXPECT_EQ(s.rpcs, 1u);
+  EXPECT_EQ(s.sent, 2u);
+  EXPECT_EQ(s.received, 2u);
+  t.shutdown();  // closes the inner transport and joins the pump
+  EXPECT_THROW((void)t.call(barrier_request(0, 1, 10)), net::TransportError);
+}
+
 TEST(TcpTransport, PairConnectCallAndPayloadRoundtrip) {
   net::TcpConfig c0;
   c0.local_node = 0;
@@ -928,6 +1089,125 @@ TEST(RemoteDirectory, WrongResultCountThrowsInsteadOfLooping) {
   pair.t0.close();
   pair.t1.close();
   home.join();
+}
+
+/// Stands in for a home process: applies each kDirBatchRequest to `home`,
+/// then fails the call as scripted — after the apply (an ambiguous failure:
+/// the reply was lost) or before it (the request never left).
+class ScriptedHomeTransport final : public net::Transport {
+ public:
+  struct Step {
+    bool apply = true;
+    std::optional<net::TransportError::Kind> fail;
+  };
+  ScriptedHomeTransport(proto::DirectoryService& home, std::vector<Step> script)
+      : home_(home), script_(std::move(script)) {}
+
+  bool post(net::Envelope) override { return false; }
+  std::optional<net::Envelope> receive(cache::NodeId) override {
+    return std::nullopt;
+  }
+  void close() override {}
+  [[nodiscard]] net::TransportStats stats() const override { return {}; }
+  int calls = 0;
+
+ protected:
+  net::Envelope call_impl(net::Envelope env) override {
+    const Step step = calls < static_cast<int>(script_.size())
+                          ? script_[static_cast<std::size_t>(calls)]
+                          : Step{};
+    ++calls;
+    std::vector<proto::DirBatchResult> results;
+    if (step.apply) {
+      const auto req = proto::decode_dir_batch_request(env.data->bytes);
+      home_.apply_batch(req->node, req->items, results);
+    }
+    if (step.fail) throw net::TransportError(*step.fail, "scripted failure");
+    auto payload = proto::encode_dir_batch_reply(results);
+    net::Envelope out;
+    out.msg = proto::Message::dir_batch_reply(
+        0, env.msg.from, static_cast<std::uint32_t>(results.size()),
+        payload.size());
+    out.data = net::make_ready_block(std::move(payload));
+    return out;
+  }
+
+ private:
+  proto::DirectoryService& home_;
+  std::vector<Step> script_;
+};
+
+TEST(RemoteDirectory, OffNodeOpThrowsBeforeSending) {
+  // The home routes a reply to the op's issuing node; a client asked to act
+  // for a node its process does not host must refuse at once instead of
+  // waiting out every retry for a reply that goes elsewhere.
+  proto::DirectoryService home(2, cache::DirectoryMode::kPerfect, 1);
+  auto transport = std::make_shared<ScriptedHomeTransport>(
+      home, std::vector<ScriptedHomeTransport::Step>{});
+  ccm::RemoteDirectory remote(transport, 1, 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_THROW((void)remote.write_claim({0, 0}, 0), std::invalid_argument);
+  EXPECT_THROW((void)remote.try_claim({0, 0}, 0), std::invalid_argument);
+  const std::vector<proto::DirBatchItem> items = {
+      {proto::DirBatchOp::kLookupRead, {0, 0}}};
+  EXPECT_THROW((void)remote.batch(0, items), std::invalid_argument);
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, 1s);
+  EXPECT_EQ(transport->calls, 0);
+  EXPECT_EQ(home.lookup({0, 0}), cache::kInvalidNode);
+  // Its own node still goes through.
+  EXPECT_TRUE(remote.try_claim({0, 0}, 1));
+  EXPECT_EQ(transport->calls, 1);
+}
+
+TEST(RemoteDirectory, WriteOpIsNotResentAfterAnAmbiguousFailure) {
+  using Kind = net::TransportError::Kind;
+  const cache::FileId f = 2;
+  const auto epoch_of = [&](proto::DirectoryService& d) {
+    return d.lookup_for_read(0, {f, 0}).epoch;
+  };
+  for (const Kind kind : {Kind::kTimeout, Kind::kPeerDown}) {
+    // The home applied write_begin, then the reply was lost. Re-sending
+    // would open a second write span that no write_end ever closes.
+    proto::DirectoryService home(2, cache::DirectoryMode::kPerfect, 1);
+    auto transport = std::make_shared<ScriptedHomeTransport>(
+        home, std::vector<ScriptedHomeTransport::Step>{{true, kind}});
+    net::RetryStats retries;
+    ccm::RemoteDirectory remote(transport, 1, 0, &retries);
+    try {
+      remote.write_begin(f);
+      ADD_FAILURE() << "the ambiguous failure must surface";
+    } catch (const net::TransportError& e) {
+      EXPECT_EQ(e.kind(), kind);
+    }
+    EXPECT_EQ(transport->calls, 1);
+    EXPECT_EQ(retries.retries.load(), 0u);
+    EXPECT_EQ(retries.failures.load(), 1u);
+    // The span was applied exactly once: one write_end closes it.
+    EXPECT_FALSE(home.read_cacheable(f, epoch_of(home)));
+    home.write_end(f);
+    EXPECT_TRUE(home.read_cacheable(f, epoch_of(home)));
+  }
+  {
+    // A request dropped before it left is re-sent, and lands once.
+    proto::DirectoryService home(2, cache::DirectoryMode::kPerfect, 1);
+    auto transport = std::make_shared<ScriptedHomeTransport>(
+        home, std::vector<ScriptedHomeTransport::Step>{
+                  {false, Kind::kInjected}});
+    ccm::RemoteDirectory remote(transport, 1, 0);
+    remote.write_begin(f);
+    EXPECT_EQ(transport->calls, 2);
+    home.write_end(f);
+    EXPECT_TRUE(home.read_cacheable(f, epoch_of(home)));
+  }
+  {
+    // A replay-safe op still rides out an ambiguous failure.
+    proto::DirectoryService home(2, cache::DirectoryMode::kPerfect, 1);
+    auto transport = std::make_shared<ScriptedHomeTransport>(
+        home, std::vector<ScriptedHomeTransport::Step>{{true, Kind::kTimeout}});
+    ccm::RemoteDirectory remote(transport, 1, 0);
+    EXPECT_TRUE(remote.try_claim({f, 0}, 1));
+    EXPECT_EQ(transport->calls, 2);
+  }
 }
 
 }  // namespace
